@@ -17,7 +17,9 @@ regions —
   span;
 * requests enter through QoS **admission** (tenants, weighted-fair
   queueing, SLOs) like every other app class, in open-loop (trace
-  timestamps) or closed-loop (fixed concurrency) mode.
+  timestamps) or closed-loop (fixed concurrency) mode, and settle on
+  their admission handle's ``settled`` event — at the instant the job
+  finishes, fails or is shed, after admission has re-pumped its queue.
 
 Telemetry lands in the session's hub: ``llm.prefix_hit_blocks`` /
 ``llm.prefix_miss_blocks`` (rates), ``llm.kv_bytes_moved`` (the P->D
@@ -176,8 +178,6 @@ class LLMEngine:
 
     #: Ownership token under which the engine holds cached KV blocks.
     CACHE_OWNER = "llm-prefix-cache"
-    #: How often in-flight requests check for completion (sim ns).
-    POLL_NS = 2_000.0
 
     def __init__(
         self,
@@ -393,9 +393,8 @@ class LLMEngine:
                     lambda: self._materialize(req, record, acquired),
                     tenant=req.tenant,
                 )
-                engine.process(
-                    waiter(record, acquired, admitted),
-                    name=f"llm-wait-{req.index}",
+                admitted.settled.add_callback(
+                    lambda event: finish(record, acquired, admitted)
                 )
             else:
                 execution = self.rts._submit(
@@ -409,14 +408,9 @@ class LLMEngine:
         def finish_legacy(record, acquired, execution, event):
             if not event._ok:
                 event.defuse()
-            fake = _LegacyHandle(execution)
-            self._settle(record, acquired, fake)
-            state["settled"] += 1
-            feed()
+            finish(record, acquired, _LegacyHandle(execution))
 
-        def waiter(record, acquired, admitted):
-            while not admitted.shed and admitted.finished_at is None:
-                yield engine.timeout(self.POLL_NS)
+        def finish(record, acquired, admitted):
             self._settle(record, acquired, admitted)
             state["settled"] += 1
             feed()

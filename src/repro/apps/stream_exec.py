@@ -79,9 +79,6 @@ class StreamStats:
 class StreamExecutor:
     """Pipelined window-at-a-time execution of a job template."""
 
-    #: How often a queued-behind-admission window checks for its slot.
-    ADMISSION_POLL_NS = 2_000.0
-
     def __init__(
         self,
         session=None,
@@ -122,33 +119,15 @@ class StreamExecutor:
         )
 
     def _track(self, record: WindowRecord, admitted) -> None:
-        """Finish the window's bookkeeping once admission runs its job.
+        """Settle the window when admission is done with its job.
 
-        Admission pumps synchronously, so the common case attaches the
-        done-callback immediately; a window queued behind a quota or the
-        concurrency gate is watched by a cheap polling process instead.
+        One subscription covers every outcome: the job finishing or
+        failing, and a shed — whether the window was admitted at once
+        or queued behind a quota or the concurrency gate.
         """
-        engine = self.rts.cluster.engine
-        if admitted.shed:
-            self._settle(record, ok=False)
-            return
-        if admitted.execution is not None:
-            admitted.execution.done.add_callback(
-                lambda event, rec=record: self._on_done(rec, event)
-            )
-            return
-
-        def watcher():
-            while admitted.execution is None and not admitted.shed:
-                yield engine.timeout(self.ADMISSION_POLL_NS)
-            if admitted.shed:
-                self._settle(record, ok=False)
-            else:
-                admitted.execution.done.add_callback(
-                    lambda event, rec=record: self._on_done(rec, event)
-                )
-
-        engine.process(watcher(), name=f"stream-admit-{record.index}")
+        admitted.settled.add_callback(
+            lambda event: self._settle(record, ok=admitted.completed)
+        )
 
     def _settle(self, record: WindowRecord, ok: bool) -> None:
         self._in_flight -= 1

@@ -38,6 +38,8 @@ class Topology:
     def __init__(self):
         self.graph = nx.Graph()
         self._route_cache: dict = {}
+        #: link.id -> LinkKind, so kind queries can follow route().
+        self._link_kinds: typing.Dict[int, LinkKind] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -58,6 +60,7 @@ class Topology:
             raise ValueError(f"nodes {a!r} and {b!r} are already connected")
         link = Link(spec.name, bandwidth=spec.bandwidth, latency=spec.latency)
         self.graph.add_edge(a, b, link=link, kind=spec.kind)
+        self._link_kinds[link.id] = spec.kind
         self._route_cache.clear()
         return link
 
@@ -108,16 +111,8 @@ class Topology:
         return links
 
     def route_kinds(self, src: str, dst: str) -> typing.List[LinkKind]:
-        """The link technologies along the live route from src to dst."""
-        if src == dst:
-            return []
-        path = nx.shortest_path(
-            self.graph, src, dst,
-            weight=lambda a, b, data: (
-                data["link"].latency + 1e-9 if data["link"].up else None
-            ),
-        )
-        return [self.graph.edges[u, v]["kind"] for u, v in zip(path, path[1:])]
+        """The link technologies along :meth:`route` from src to dst."""
+        return [self._link_kinds[link.id] for link in self.route(src, dst)]
 
     def path_latency(self, src: str, dst: str) -> float:
         """One-way propagation latency along the route (ns)."""
@@ -135,7 +130,7 @@ class Topology:
         directly (the path never crosses a message-based link)."""
         try:
             kinds = self.route_kinds(src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        except NoRouteError:
             return False
         return all(kind in ADDRESSABLE_LINK_KINDS for kind in kinds)
 
@@ -143,7 +138,7 @@ class Topology:
         """True when the path is entirely cache-coherent (DDR/CXL/on-board)."""
         try:
             kinds = self.route_kinds(src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        except NoRouteError:
             return False
         return all(kind in COHERENT_LINK_KINDS for kind in kinds)
 

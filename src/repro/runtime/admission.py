@@ -30,6 +30,7 @@ from repro.runtime.tenancy import (
     coerce_priority,
     estimate_job_footprint,
 )
+from repro.sim.events import Event
 from repro.sim.trace import MetricRecorder
 from repro import _compat
 
@@ -53,6 +54,12 @@ class AdmittedJob:
     preemptions: int = 0
     #: The running _JobExecution once admitted (stats survive failure).
     execution: typing.Any = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
+    #: Engine event that fires once the job leaves admission for good:
+    #: finished, failed, or shed.  Callbacks run after the driver has
+    #: re-pumped its queues.
+    settled: typing.Optional[Event] = dataclasses.field(
         default=None, repr=False, compare=False
     )
 
@@ -260,6 +267,7 @@ class RackDriver:
         self._obs.counter(f"tenant.shed/{tenant.name}").inc()
         self._obs.event("admission", "shed", job=entry.admitted.name,
                         tenant=tenant.name, reason=reason)
+        entry.admitted.settled.succeed()
 
     def _shed_queue(self) -> None:
         """Reject every queued job (the rack cannot serve them safely)."""
@@ -516,6 +524,7 @@ class RackDriver:
             event.defuse()
             tenant.failed += 1
         self._pump()
+        admitted.settled.succeed()
 
     def _maybe_schedule_quota_retry(self) -> None:
         """Re-pump on a timer while admission is blocked *only* by a
@@ -570,6 +579,7 @@ class RackDriver:
         prio = coerce_priority(priority) if priority is not None else state.priority
         admitted = AdmittedJob(
             name=name, arrived_at=engine.now, tenant=state.name, priority=prio,
+            settled=engine.event(),
         )
         self.stats.jobs.append(admitted)
         state.submitted += 1

@@ -97,6 +97,44 @@ class TestServe:
             LLMEngine(session, ops_per_token=0.0)
 
 
+class TestSettlement:
+    def test_records_finish_when_admission_does(self, session):
+        define_pd_pools(session.cluster)
+        result = LLMEngine(session).serve(stream())
+        handles = {job.name: job for job in session.driver.stats.jobs}
+        for record in result.records:
+            assert record.finished_at == handles[record.request.name].finished_at
+
+    def test_no_completion_polling(self, session, monkeypatch):
+        engine = session.cluster.engine
+        names = []
+        spawn = engine.process
+
+        def recording_process(generator, name=""):
+            names.append(name)
+            return spawn(generator, name=name)
+
+        monkeypatch.setattr(engine, "process", recording_process)
+        LLMEngine(session).serve(stream(12))
+        LLMEngine(session).serve(stream(12, seed=12), mode="closed",
+                                 concurrency=3)
+        assert names  # the arrival and sampler processes were seen
+        assert not [n for n in names if n.startswith("llm-wait")]
+
+    def test_event_count_scales_with_tasks(self, session):
+        define_pd_pools(session.cluster)
+        engine = session.cluster.engine
+        before = engine.events_processed
+        result = LLMEngine(session).serve(stream(50))
+        assert result.completed == 50
+        tasks = sum(
+            len(job.execution.stats.tasks) for job in session.driver.stats.jobs
+        )
+        # A completion poll costs ~1,700 events per task on this stream;
+        # event-driven settlement stays near 250.
+        assert engine.events_processed - before < 400 * tasks
+
+
 class TestOwnershipTransfer:
     def test_pooled_rack_handover_is_zero_copy(self, session):
         define_pd_pools(session.cluster)

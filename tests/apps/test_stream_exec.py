@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import TenantQuota, connect
 from repro.apps import build_hospital_job
 from repro.apps.stream_exec import StreamExecutor, StreamStats, WindowRecord
 from repro.hardware import Cluster
@@ -62,6 +63,35 @@ class TestStreamExecutor:
             hospital_template, max_in_flight=1, backpressure="queue")
         q_stats = queueing.run(n_windows=12, interval_ns=20_000.0)
         assert max_latency < max(w.latency for w in q_stats.windows if w.completed)
+
+    def test_session_windows_queued_behind_admission_complete(self):
+        # The admission gate is narrower than the pipeline, so most
+        # windows wait in the admission queue before their job runs.
+        with connect("pooled-rack", seed=83, max_concurrent=1) as session:
+            executor = StreamExecutor(session, hospital_template,
+                                      max_in_flight=3)
+            stats = executor.run(n_windows=6, interval_ns=1_000.0)
+            handles = {j.name: j for j in session.driver.stats.jobs}
+            assert max(j.queue_wait for j in handles.values()) > 0
+        assert stats.completed == 6
+        for window in stats.windows:
+            handle = handles[f"window-{window.index}"]
+            assert window.finished_at == handle.finished_at
+
+    def test_session_shed_window_counts_as_dropped(self):
+        with connect("pooled-rack", seed=83) as session:
+            session.register_tenant(
+                "tiny", quota=TenantQuota(memory_bytes=1 * KiB))
+
+            def template(index):
+                job = hospital_template(index)
+                job.tenant = "tiny" if index == 1 else None
+                return job
+
+            executor = StreamExecutor(session, template, max_in_flight=2)
+            stats = executor.run(n_windows=3, interval_ns=1_000.0)
+        assert [w.dropped for w in stats.windows] == [False, True, False]
+        assert stats.completed == 2
 
     def test_percentiles(self):
         stats = StreamStats()

@@ -4,7 +4,9 @@ import pytest
 
 from repro.hardware import Cluster, NoRouteError, Topology
 from repro.hardware import calibration as cal
+from repro.hardware import presets
 from repro.hardware.spec import LinkKind, LinkSpec, MemoryKind
+from repro.sim.faults import FaultKind
 from repro.sim.flows import LinkDown
 
 
@@ -73,6 +75,58 @@ class TestTopology:
         assert topo.addressable("cpu", "ssd") and not topo.coherent("cpu", "ssd")
         # Unknown node: addressable is False, not an exception.
         assert not topo.addressable("cpu", "ghost")
+
+
+def assert_kinds_follow_routes(topo):
+    """route_kinds() must name the kind of every link route() crosses."""
+    edge_kinds = {
+        data["link"].id: data["kind"]
+        for _, _, data in topo.graph.edges(data=True)
+    }
+    nodes = topo.nodes()
+    for src in nodes:
+        for dst in nodes:
+            try:
+                links = topo.route(src, dst)
+            except NoRouteError:
+                with pytest.raises(NoRouteError):
+                    topo.route_kinds(src, dst)
+                assert not topo.addressable(src, dst)
+                assert not topo.coherent(src, dst)
+                continue
+            assert topo.route_kinds(src, dst) == [
+                edge_kinds[link.id] for link in links
+            ]
+
+
+class TestRouteKinds:
+    @pytest.mark.parametrize("preset", presets.available())
+    def test_every_pair_matches_route(self, preset):
+        assert_kinds_follow_routes(Cluster.preset(preset).topology)
+
+    def test_link_down_reroute(self):
+        rack = Cluster.preset("dual-plane-rack")
+        before = rack.topology.route("cpu1", "dram-pool0")
+        for link in rack.topology.links():
+            if "plane-a" in link.name:
+                rack.faults.inject_now(FaultKind.LINK_DOWN, link.name)
+        assert rack.topology.route("cpu1", "dram-pool0") != before
+        assert_kinds_follow_routes(rack.topology)
+
+    def test_uninvalidated_flip_keeps_kinds_on_cached_route(self):
+        topo = Topology()
+        for n in ("cpu", "mem", "sw"):
+            topo.add_node(n)
+        direct = topo.connect("cpu", "mem", linkspec("cxl", lat=10.0))
+        topo.connect("cpu", "sw", linkspec("nic1", kind=LinkKind.NIC))
+        topo.connect("sw", "mem", linkspec("nic2", kind=LinkKind.NIC))
+        assert topo.coherent("cpu", "mem")
+        direct.up = False  # flipped by hand, cache not invalidated
+        assert topo.route("cpu", "mem") == [direct]
+        assert topo.route_kinds("cpu", "mem") == [LinkKind.CXL]
+        topo.invalidate_routes()
+        assert topo.route_kinds("cpu", "mem") == [LinkKind.NIC, LinkKind.NIC]
+        assert not topo.addressable("cpu", "mem")
 
 
 class TestClusterPresets:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.dataflow import Job, RegionUsage, Task, WorkSpec
+from repro.dataflow import Job, RegionUsage, Task, WorkSpec, task
 from repro.hardware import Cluster
 from repro.runtime import RuntimeSystem
 from repro.runtime.admission import RackDriver
+from repro.runtime.health import HealthMonitor
+from repro.runtime.tenancy import TenantQuota, TenantRegistry
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -86,3 +88,79 @@ class TestRackDriver:
             RackDriver(rts, max_concurrent=0)
         with pytest.raises(ValueError):
             RackDriver(rts, memory_headroom=1.5)
+
+
+def failing_job(name: str):
+    job = Job(name)
+
+    @task(job, name="crasher", work=WorkSpec(output=RegionUsage(4 * KiB)))
+    def crasher(ctx):
+        yield from ctx.sleep(25.0)
+        raise RuntimeError("task crash")
+
+    return job
+
+
+def count_settles(handle):
+    """Record the sim time of every firing of ``handle.settled``."""
+    times = []
+    handle.settled.add_callback(
+        lambda event: times.append(event.engine.now)
+    )
+    return times
+
+
+class TestSettledEvent:
+    def test_fires_once_on_success(self, rts):
+        driver = RackDriver(rts)
+        handle = driver.submit_job("ok", small_job("ok"))
+        times = count_settles(handle)
+        rts.cluster.engine.run()
+        assert handle.completed
+        assert times == [handle.finished_at]
+
+    def test_fires_once_on_task_failure(self, rts):
+        driver = RackDriver(rts)
+        handle = driver.submit_job("bad", failing_job("bad"))
+        times = count_settles(handle)
+        rts.cluster.engine.run()
+        assert not handle.completed and not handle.shed
+        assert times == [handle.finished_at]
+
+    def test_fires_once_on_watermark_shed(self):
+        cluster = Cluster.preset("pooled-rack")
+        HealthMonitor(cluster, detection_delay_ns=0.0)
+        rts = RuntimeSystem(cluster)
+        driver = RackDriver(rts, shed_below_capacity_fraction=0.5)
+        cluster.crash_node("stornode0")
+        handle = driver.submit_job("doomed", small_job("doomed"))
+        times = count_settles(handle)
+        cluster.engine.run()
+        assert handle.shed
+        assert times == [handle.arrived_at]
+
+    def test_fires_once_on_impossible_memory_quota(self, rts):
+        registry = TenantRegistry()
+        registry.register("tiny", quota=TenantQuota(memory_bytes=1 * KiB))
+        driver = RackDriver(rts, tenants=registry)
+        handle = driver.submit_job(
+            "huge", small_job("huge", payload=8 * MiB), tenant="tiny",
+        )
+        times = count_settles(handle)
+        rts.cluster.engine.run()
+        assert handle.shed
+        assert times == [handle.arrived_at]
+
+    def test_settles_after_the_driver_repumps(self, rts):
+        driver = RackDriver(rts, max_concurrent=1)
+        first = driver.submit_job("first", small_job("first"))
+        second = driver.submit_job("second", small_job("second"))
+        seen = []
+        first.settled.add_callback(
+            lambda event: seen.append(second.admission_index)
+        )
+        rts.cluster.engine.run()
+        # The freed slot went to the queued job before the first one
+        # reported settled.
+        assert seen == [1]
+        assert second.completed
