@@ -522,6 +522,64 @@ def bench_soak_1m_events(
     )
 
 
+# -- 5. admission at tenant scale -----------------------------------------
+
+
+def bench_admission_10k_tenants(
+    n_tenants: int = 10_000, spacing_ns: float = 2_000.0, seed: int = 29,
+) -> dict:
+    """QoS admission and burn-rate telemetry with 10k registered tenants.
+
+    Every tenant submits one small job, one arrival per ``spacing_ns``
+    in shuffled tenant order, so at most one job waits at any instant
+    while every tenant has submitted history.  A quarter
+    carry an SLO, which installs one burn-rate rule each (2.5k rules
+    swept on every telemetry poll).  Admission pumps and rule sweeps
+    must cost O(live state) — tenants with queued work, rules with
+    recent traffic — not O(tenants ever seen).
+    """
+    from repro.api import connect
+
+    session = connect("pooled-rack", seed=seed, max_concurrent=8)
+    rng = random.Random(seed)
+    names = [f"t{i:05d}" for i in range(n_tenants)]
+    for i, name in enumerate(names):
+        session.register_tenant(
+            name, weight=float(1 + i % 4),
+            priority=("interactive", "batch", "batch", "best_effort")[i % 4],
+            slo_target_ns=50_000.0 if i % 4 == 0 else None,
+        )
+    rng.shuffle(names)
+
+    def factory(name: str, ops: float):
+        def build():
+            job = Job(name)
+            job.add_task(Task("t", work=WorkSpec(
+                ops=ops, output=RegionUsage(4 * KiB))))
+            return job
+        return build
+
+    arrivals = [
+        (i * spacing_ns, f"j{i}", factory(f"j{i}", rng.uniform(5e3, 2e4)),
+         tenant)
+        for i, tenant in enumerate(names)
+    ]
+    engine = session.rts.cluster.engine
+    start = time.perf_counter()
+    stats = session.run_trace(arrivals)
+    wall = time.perf_counter() - start
+    assert stats.completed == n_tenants
+    rules = len(session.obs.telemetry.alerts.rules)
+    assert rules == n_tenants // 4
+    return _result(
+        "admission_10k_tenants", wall, ops=n_tenants,
+        events=engine.events_processed,
+        tenants=n_tenants, burn_rules=rules,
+        preemptions=stats.preemptions,
+        telemetry_polls=session.obs.telemetry.polls,
+    )
+
+
 #: name -> zero-arg callable, the registry perf_report.py iterates.
 ALL_BENCHES: typing.Dict[str, typing.Callable[[], dict]] = {
     "flows_2k": bench_flows_2k,
@@ -533,6 +591,7 @@ ALL_BENCHES: typing.Dict[str, typing.Callable[[], dict]] = {
     "placement_fragmentation": bench_placement_fragmentation,
     "soak_transfers": bench_soak_transfers,
     "soak_1m_events": bench_soak_1m_events,
+    "admission_10k_tenants": bench_admission_10k_tenants,
 }
 
 

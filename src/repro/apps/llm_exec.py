@@ -31,6 +31,7 @@ drains every shared region to refcount 0.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import typing
 
@@ -415,28 +416,28 @@ class LLMEngine:
             state["settled"] += 1
             feed()
 
-        pending = list(ordered)
+        pending = collections.deque(ordered)
 
         def feed():
             # Closed loop: each completion pulls the next request in.
             if mode != "closed":
                 return
             if pending and state["dispatched"] - state["settled"] < concurrency:
-                dispatch(pending.pop(0))
+                dispatch(pending.popleft())
 
         def open_source():
             while pending:
                 req = pending[0]
                 if req.arrival_ns > engine.now:
                     yield engine.timeout(req.arrival_ns - engine.now)
-                dispatch(pending.pop(0))
+                dispatch(pending.popleft())
 
         if mode == "open":
             engine.process(open_source(), name="llm-arrivals")
         else:
             # Closed loop: prime the pipeline; feed() refills it.
             while pending and state["dispatched"] - state["settled"] < concurrency:
-                dispatch(pending.pop(0))
+                dispatch(pending.popleft())
 
         interval = (
             self.session.driver.sample_interval_ns

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import time as _time
 import typing
 
@@ -318,15 +319,42 @@ class WindowedSeries:
         span intersects the interval.  For ``level`` series the total is
         the time-weighted integral instead.
         """
+        closed = self.closed
+        cur = self._cur
+        n_closed = len(closed)
+        n = n_closed + (cur is not None)
+        if not n:
+            return 0.0, 0
+        # Retained windows are contiguous (``_roll_to`` synthesizes
+        # gaps), so position ``i`` holds window ``first + i``: visit only
+        # the slice around the interval.  Two windows of slack on each
+        # side absorb float rounding in the index arithmetic; the exact
+        # overlap test below decides, in the same oldest-first order, so
+        # the sums are bit-identical to scanning every window.
+        width = self.width
+        first = closed[0].index if n_closed else cur.index
+        lo, hi = 0, n
+        if math.isfinite(since):
+            lo = max(0, int(since // width) - 2 - first)
+        if math.isfinite(until):
+            hi = min(n, int(until // width) + 3 - first)
+        level = self.kind == "level"
         total = 0.0
         count = 0
-        for window in self.windows():
-            start = window.index * self.width
-            if start + self.width <= since or start > until:
+        for i in range(lo, hi):
+            window = closed[i] if i < n_closed else cur
+            start = window.index * width
+            if start + width <= since or start > until:
                 continue
-            total += window.weighted if self.kind == "level" else window.total
+            total += window.weighted if level else window.total
             count += window.count
         return total, count
+
+    def newest(self) -> typing.Optional[_Window]:
+        """The most recent retained window (the open one if any)."""
+        if self._cur is not None:
+            return self._cur
+        return self.closed[-1] if self.closed else None
 
     def memory_bytes(self) -> int:
         """Estimated resident bytes (self-metering; nominal, not exact)."""
@@ -425,8 +453,8 @@ class AlertEngine:
 
     Driven from two directions: every SLO observation re-evaluates its
     own workload's rule (detection delay is bounded by the traffic
-    itself), and every hub poll sweeps all rules (so alerts close when
-    traffic stops arriving).  Open/close transitions are recorded as
+    itself), and every hub poll sweeps the rules (so alerts close when
+    traffic stops arriving; see :meth:`sweep` for the idle skip).  Open/close transitions are recorded as
     ``alert``-category spans plus instant events and counters.
     """
 
@@ -492,8 +520,26 @@ class AlertEngine:
                 self._close(alert, now, fast or 0.0, slow or 0.0)
 
     def sweep(self, now: float) -> None:
-        """Re-evaluate every rule (called from the hub's poll)."""
-        for workload in self.rules:
+        """Re-evaluate every rule that could change state (hub poll).
+
+        A rule without an active alert is skipped when its
+        ``slo.total`` series' newest window ends at or before
+        ``now - slow_ns`` (the same ``start + width <= since`` test
+        :meth:`WindowedSeries.sum_over` applies): both burn windows are
+        then empty, so :meth:`evaluate` could neither open nor close
+        anything.  Idle rules cost one lookup; the rest one slice of
+        the burn window each, never the retained history.
+        """
+        get_series = self.hub.get_series
+        for workload, rule in self.rules.items():
+            if workload not in self.active:
+                totals = get_series(f"slo.total/{workload}")
+                newest = totals.newest() if totals is not None else None
+                if newest is None:
+                    continue
+                start = newest.index * totals.width
+                if start + totals.width <= now - rule.slow_ns:
+                    continue
             self.evaluate(workload, now)
 
     def _open(self, rule: BurnRateRule, now: float,

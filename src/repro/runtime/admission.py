@@ -17,6 +17,7 @@ running ``BEST_EFFORT`` job through the RTS's re-queue machinery.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import typing
@@ -198,14 +199,16 @@ class RackDriver:
         self._running = 0
         #: tenant name -> FIFO of queued entries (WFQ picks between
         #: queue heads; in "fifo" mode the global min seq wins, which
-        #: is exactly arrival order).
-        self._queues: typing.Dict[str, typing.List[_QueueEntry]] = {}
+        #: is exactly arrival order).  Only non-empty queues are kept
+        #: (see ``_pop_head``), so scans cost O(tenants with work).
+        self._queues: typing.Dict[str, typing.Deque[_QueueEntry]] = {}
         self._seq = itertools.count()
         self._admission_seq = itertools.count()
         #: System virtual time (start tag of the last dispatched job).
         self._vtime = 0.0
-        #: Admitted-and-running jobs, in admission order (victim scan).
-        self._active: typing.List[AdmittedJob] = []
+        #: Admitted-and-running jobs keyed by identity, in admission
+        #: order (victim scan).
+        self._active: typing.Dict[int, AdmittedJob] = {}
         self._retry_scheduled = False
         self.stats = RackStats(memory_utilization=MetricRecorder())
         self._sampling = True
@@ -256,6 +259,14 @@ class RackDriver:
         """Jobs admitted and not yet finished."""
         return self._running
 
+    def _pop_head(self, name: str) -> _QueueEntry:
+        """Dequeue ``name``'s head, deleting the queue once it empties."""
+        queue = self._queues[name]
+        entry = queue.popleft()
+        if not queue:
+            del self._queues[name]
+        return entry
+
     def _reject(self, entry: _QueueEntry, reason: str) -> None:
         """Shed one queued entry (watermark or impossible quota)."""
         engine = self.rts.cluster.engine
@@ -272,9 +283,8 @@ class RackDriver:
     def _shed_queue(self) -> None:
         """Reject every queued job (the rack cannot serve them safely)."""
         for name in sorted(self._queues):
-            queue = self._queues[name]
-            while queue:
-                self._reject(queue.pop(0), reason="capacity_watermark")
+            while name in self._queues:
+                self._reject(self._pop_head(name), reason="capacity_watermark")
 
     # -- tenancy: quotas and fair queueing -----------------------------------
 
@@ -317,19 +327,17 @@ class RackDriver:
         (footprint alone exceeds the cap) so they don't wedge the
         tenant's queue forever."""
         for name in sorted(self._queues):
-            queue = self._queues[name]
-            tenant = self.tenants.get(name)
-            cap = tenant.quota.memory_bytes
+            cap = self.tenants.get(name).quota.memory_bytes
             if cap is None:
                 continue
-            while queue:
-                entry = queue[0]
+            while name in self._queues:
+                entry = self._queues[name][0]
                 if entry.footprint is None:
                     entry.footprint = estimate_job_footprint(
                         entry.materialize()
                     )
                 if entry.footprint > cap:
-                    self._reject(queue.pop(0), reason="memory_quota")
+                    self._reject(self._pop_head(name), reason="memory_quota")
                 else:
                     break
 
@@ -346,11 +354,8 @@ class RackDriver:
         best = None
         best_key = None
         for name in sorted(self._queues):
-            queue = self._queues[name]
-            if not queue:
-                continue
             tenant = self.tenants.get(name)
-            entry = queue[0]
+            entry = self._queues[name][0]
             if not self._eligible(tenant, entry):
                 continue
             if self.policy == "fifo":
@@ -375,7 +380,7 @@ class RackDriver:
             return False
         if self._running - self.max_concurrent >= self.preempt_overcommit:
             return False
-        for victim in reversed(self._active):
+        for victim in reversed(self._active.values()):
             if victim.priority != PriorityClass.BEST_EFFORT:
                 continue
             if victim.preemptions >= self.max_preemptions_per_job:
@@ -436,9 +441,8 @@ class RackDriver:
         self, tenant: Tenant, entry: _QueueEntry, via_preemption: bool = False
     ) -> None:
         engine = self.rts.cluster.engine
-        queue = self._queues[tenant.name]
-        assert queue and queue[0] is entry
-        queue.pop(0)
+        popped = self._pop_head(tenant.name)
+        assert popped is entry
         admitted = entry.admitted
         admitted.admitted_at = engine.now
         admitted.admission_index = next(self._admission_seq)
@@ -466,7 +470,7 @@ class RackDriver:
             priority=admitted.priority,
         )
         admitted.execution = execution
-        self._active.append(admitted)
+        self._active[id(admitted)] = admitted
         graph = getattr(execution, "causal", None)
         if graph is not None:
             # The admission wait happened *before* submit, so it
@@ -488,8 +492,7 @@ class RackDriver:
         self._running -= 1
         engine = self.rts.cluster.engine
         admitted.finished_at = engine.now
-        if admitted in self._active:
-            self._active.remove(admitted)
+        self._active.pop(id(admitted), None)
         tenant = self.tenants.get(admitted.tenant)
         tenant.running -= 1
         if entry.footprint is not None:
@@ -535,7 +538,7 @@ class RackDriver:
             return  # a completion (or preemption unwind) re-pumps
         if not any(
             self.tenants.get(name).quota.compute_share is not None
-            for name, queue in self._queues.items() if queue
+            for name in self._queues
         ):
             return
         engine = self.rts.cluster.engine
@@ -591,7 +594,7 @@ class RackDriver:
             start_tag=start, finish_tag=finish, seq=next(self._seq),
             job=job_obj,
         )
-        self._queues.setdefault(state.name, []).append(entry)
+        self._queues.setdefault(state.name, collections.deque()).append(entry)
         self._queued_tl.adjust(engine.now, +1)
         self._obs.counter(f"tenant.submitted/{state.name}").inc()
         self._pump()

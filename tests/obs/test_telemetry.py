@@ -1,11 +1,14 @@
 """Continuous telemetry: windowed series, burn alerts, sampled hotness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Observability
 from repro.obs.metrics import LATENCY_BOUNDS_NS
 from repro.obs.slo import SloPolicy
 from repro.obs.telemetry import (
+    AlertEngine,
     BurnRateRule,
     SampledHotness,
     TelemetryHub,
@@ -159,6 +162,63 @@ class TestWindowedSeriesBounds:
         snap = s.snapshot(limit=3)
         assert len(snap["windows"]) == 3
         assert snap["windows"][-1]["index"] == 5
+
+
+def _brute_sum_over(series, since, until):
+    """Reference ``sum_over``: scan every retained window."""
+    total, count = 0.0, 0
+    for window in series.windows():
+        start = window.index * series.width
+        if start + series.width <= since or start > until:
+            continue
+        total += window.weighted if series.kind == "level" else window.total
+        count += window.count
+    return total, count
+
+
+_WIDTHS = (1.0, 0.1, 7.3, 100.0, 100_000.0 / 3)
+
+
+class TestSumOverExactness:
+    """The sliced ``sum_over`` must equal a scan of every window."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_bit_for_bit(self, data):
+        kind = data.draw(st.sampled_from(("sample", "level", "rate")))
+        width = data.draw(st.sampled_from(_WIDTHS))
+        s = WindowedSeries(
+            "s", width_ns=width, kind=kind,
+            max_windows=data.draw(st.integers(1, 6)),
+        )
+        fold = {"sample": s.observe, "rate": s.add,
+                "level": s.record_level}[kind]
+        # Steps in windows: fractional, exact edges, and jumps far
+        # beyond max_windows (synthesized then dropped gaps).
+        steps = data.draw(st.lists(
+            st.one_of(
+                st.floats(0.0, 3.0),
+                st.integers(0, 40).map(float),
+            ),
+            min_size=1, max_size=30,
+        ))
+        t = 0.0
+        for step in steps:
+            t += step * width
+            fold(t, data.draw(st.floats(-1e3, 1e3)))
+        last = s.newest().index + 3
+        edge = st.integers(-3, last).map(lambda k: k * width)
+        point = st.one_of(
+            edge,
+            st.floats(-3 * width, last * width),
+            st.sampled_from((float("-inf"), float("inf"))),
+        )
+        for _ in range(8):
+            since, until = data.draw(point), data.draw(point)
+            got = s.sum_over(since, until)
+            want = _brute_sum_over(s, since, until)
+            assert got[1] == want[1]
+            assert got[0].hex() == want[0].hex()
 
 
 class TestHubWatchers:
@@ -375,6 +435,80 @@ class TestAlertEngine:
             BurnRateRule("w", fast_ns=0.0, slow_ns=1e6)
         with pytest.raises(ValueError):
             BurnRateRule("w", fast_ns=1e5, slow_ns=1e6, min_samples=0)
+
+
+class _EveryRuleAlertEngine(AlertEngine):
+    """The pre-skip sweep: evaluate every rule on every poll."""
+
+    def sweep(self, now):
+        for workload in self.rules:
+            self.evaluate(workload, now)
+
+
+class TestSweepIdleSkip:
+    W = 100_000.0
+
+    def _obs(self, engine_cls, n_rules=40):
+        obs = Observability(engine=_Clock())
+        obs.telemetry.alerts = engine_cls(obs.telemetry)
+        for i in range(n_rules):
+            name = f"w{i:02d}"
+            obs.slo.set_policy(name, target_ns=10_000.0, objective=0.9)
+            obs.telemetry.alerts.add_rule(BurnRateRule(
+                name, fast_ns=2 * self.W, slow_ns=10 * self.W,
+                open_above=2.0, close_below=1.0, min_samples=5,
+            ))
+        return obs
+
+    def _drive(self, obs):
+        """w00 burns hot then goes silent; a few rules see a little
+        early traffic; most never see any."""
+        snapshots = []
+        for step in range(60):
+            now = step * self.W
+            if step < 4:
+                _feed(obs, "w00", now, 50_000.0, 6)
+            if step in (1, 2):
+                for name in ("w03", "w07", "w11"):
+                    _feed(obs, name, now + 1.0, 1_000.0, 2)
+            obs.telemetry.poll(now + 0.5 * self.W)
+            snapshots.append(obs.telemetry.alerts.data())
+        return snapshots
+
+    def test_same_alerts_as_evaluating_every_rule(self):
+        skipping = self._drive(self._obs(AlertEngine))
+        reference = self._drive(self._obs(_EveryRuleAlertEngine))
+        assert skipping == reference
+        final = skipping[-1]
+        # The scenario exercised an alert that opened and then closed
+        # once traffic stopped (the close came from a sweep).
+        assert final["opened"] == 1 and final["closed"] == 1
+        assert final["active"] == []
+
+    def test_never_skips_a_rule_with_an_active_alert(self):
+        obs = self._obs(AlertEngine)
+        alerts = obs.telemetry.alerts
+        evaluated = []
+        sweeps = []
+        evaluate, sweep = alerts.evaluate, alerts.sweep
+
+        def spy_evaluate(workload, now):
+            evaluated.append(workload)
+            evaluate(workload, now)
+
+        def spy_sweep(now):
+            active = set(alerts.active)
+            evaluated.clear()
+            sweep(now)
+            sweeps.append((active, set(evaluated)))
+
+        alerts.evaluate, alerts.sweep = spy_evaluate, spy_sweep
+        self._drive(obs)
+        assert all(active <= swept for active, swept in sweeps)
+        assert any("w00" in active for active, _ in sweeps)
+        # Idle rules were skipped: far fewer evaluations than
+        # rules x polls.
+        assert sum(len(swept) for _, swept in sweeps) < 40 * 60 // 10
 
 
 class TestSampledHotness:

@@ -164,3 +164,81 @@ class TestSettledEvent:
         # reported settled.
         assert seen == [1]
         assert second.completed
+
+
+def pending(driver):
+    """Handles neither admitted nor shed yet (the queued ground truth)."""
+    return [
+        j for j in driver.stats.jobs
+        if j.admission_index is None and not j.shed
+    ]
+
+
+def shed_order(rts):
+    return [
+        e.fields["job"] for e in rts.cluster.obs.trace.events
+        if e.category == "admission" and e.name == "shed"
+    ]
+
+
+class TestQueueBookkeeping:
+    def test_only_non_empty_queues_are_kept(self, rts):
+        registry = TenantRegistry()
+        for i, name in enumerate(("t0", "t1", "t2", "t3", "t4")):
+            registry.register(name, weight=1 + i)
+        driver = RackDriver(rts, max_concurrent=2, tenants=registry)
+        pump = driver._pump
+        seen = []
+
+        def checked_pump():
+            pump()
+            assert all(driver._queues.values())
+            assert driver.queued_count == len(pending(driver))
+            assert list(driver._active.values()) == sorted(
+                driver._active.values(), key=lambda j: j.admission_index
+            )
+            seen.append(driver.queued_count)
+
+        driver._pump = checked_pump
+        arrivals = [
+            (i * 2_000.0, f"j{i}", small_job(f"j{i}"), f"t{i % 5}")
+            for i in range(30)
+        ]
+        stats = driver._run_trace(arrivals)
+        assert stats.completed == 30
+        assert max(seen) > 1  # queues really built up mid-run
+        assert driver._queues == {} and driver.queued_count == 0
+        assert driver._active == {}
+
+    def test_memory_quota_sheds_in_sorted_tenant_order(self, rts):
+        registry = TenantRegistry()
+        driver = RackDriver(rts, max_concurrent=1, tenants=registry)
+        driver.submit_job("running", small_job("running"), tenant="z")
+        for tenant, jobs in (("c", 2), ("a", 2), ("b", 1)):
+            for i in range(jobs):
+                driver.submit_job(f"{tenant}{i}", small_job(f"{tenant}{i}"),
+                                  tenant=tenant)
+        assert driver.queued_count == 5
+        for name in ("a", "b", "c"):
+            registry.get(name).quota = TenantQuota(memory_bytes=1 * KiB)
+        driver._pump()
+        assert shed_order(rts) == ["a0", "a1", "b0", "c0", "c1"]
+        assert driver._queues == {} and driver.queued_count == 0
+        rts.cluster.engine.run()
+
+    def test_watermark_sheds_in_sorted_tenant_order(self):
+        cluster = Cluster.preset("pooled-rack")
+        HealthMonitor(cluster, detection_delay_ns=0.0)
+        rts = RuntimeSystem(cluster)
+        driver = RackDriver(rts, max_concurrent=1,
+                            shed_below_capacity_fraction=0.5)
+        driver.submit_job("running", small_job("running"), tenant="z")
+        for tenant, jobs in (("c", 1), ("a", 2), ("b", 2)):
+            for i in range(jobs):
+                driver.submit_job(f"{tenant}{i}", small_job(f"{tenant}{i}"),
+                                  tenant=tenant)
+        assert driver.queued_count == 5
+        cluster.crash_node("stornode0")
+        cluster.engine.run()
+        assert shed_order(rts) == ["a0", "a1", "b0", "b1", "c0"]
+        assert driver._queues == {} and driver.queued_count == 0
