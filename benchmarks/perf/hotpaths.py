@@ -476,8 +476,7 @@ def bench_soak_1m_events(
     ``n_procs`` concurrent processes each sleep ``rounds`` times with
     delays spanning three orders of magnitude (1k–1M ns), so the event
     queue holds ~20k timers at all times — the high-rate-arrival regime
-    where a binary heap pays O(log n) per event and a calendar queue
-    amortizes to O(1).  A sprinkle of zero-delay yields and URGENT
+    where the binary heap pays O(log n) per event.  A sprinkle of zero-delay yields and URGENT
     interrupts keeps the same-timestamp and priority paths honest.
     ``events_per_s`` is the headline number (the CI gate demands
     >=100k events/s sustained over the >1M-event run).

@@ -32,12 +32,24 @@ class NoRouteError(Exception):
     """There is no path between the requested endpoints."""
 
 
+class _PathRecord(typing.NamedTuple):
+    """What the runtime asks about one route, computed once per route."""
+
+    latency: float
+    bandwidth: float
+    addressable: bool
+    coherent: bool
+
+
 class Topology:
     """The interconnect graph of a cluster."""
 
     def __init__(self):
         self.graph = nx.Graph()
         self._route_cache: dict = {}
+        #: (src, dst) -> _PathRecord of the cached route; cleared with
+        #: the route cache, so it always describes route(src, dst).
+        self._path_cache: typing.Dict[tuple, _PathRecord] = {}
         #: link.id -> LinkKind, so kind queries can follow route().
         self._link_kinds: typing.Dict[int, LinkKind] = {}
 
@@ -61,7 +73,7 @@ class Topology:
         link = Link(spec.name, bandwidth=spec.bandwidth, latency=spec.latency)
         self.graph.add_edge(a, b, link=link, kind=spec.kind)
         self._link_kinds[link.id] = spec.kind
-        self._route_cache.clear()
+        self.invalidate_routes()
         return link
 
     # -- queries -----------------------------------------------------------
@@ -114,37 +126,49 @@ class Topology:
         """The link technologies along :meth:`route` from src to dst."""
         return [self._link_kinds[link.id] for link in self.route(src, dst)]
 
+    def _path(self, src: str, dst: str) -> "_PathRecord":
+        """The cached record of :meth:`route` from src to dst."""
+        record = self._path_cache.get((src, dst))
+        if record is None:
+            links = self.route(src, dst)
+            kinds = [self._link_kinds[link.id] for link in links]
+            record = self._path_cache[(src, dst)] = _PathRecord(
+                latency=sum(link.latency for link in links),
+                bandwidth=(min(link.bandwidth for link in links)
+                           if links else float("inf")),
+                addressable=all(k in ADDRESSABLE_LINK_KINDS for k in kinds),
+                coherent=all(k in COHERENT_LINK_KINDS for k in kinds),
+            )
+        return record
+
     def path_latency(self, src: str, dst: str) -> float:
         """One-way propagation latency along the route (ns)."""
-        return sum(link.latency for link in self.route(src, dst))
+        return self._path(src, dst).latency
 
     def path_bandwidth(self, src: str, dst: str) -> float:
         """Uncontended bottleneck bandwidth along the route (bytes/ns)."""
-        links = self.route(src, dst)
-        if not links:
-            return float("inf")
-        return min(link.bandwidth for link in links)
+        return self._path(src, dst).bandwidth
 
     def addressable(self, src: str, dst: str) -> bool:
         """True when ``src`` can issue loads/stores that reach ``dst``
         directly (the path never crosses a message-based link)."""
         try:
-            kinds = self.route_kinds(src, dst)
+            return self._path(src, dst).addressable
         except NoRouteError:
             return False
-        return all(kind in ADDRESSABLE_LINK_KINDS for kind in kinds)
 
     def coherent(self, src: str, dst: str) -> bool:
         """True when the path is entirely cache-coherent (DDR/CXL/on-board)."""
         try:
-            kinds = self.route_kinds(src, dst)
+            return self._path(src, dst).coherent
         except NoRouteError:
             return False
-        return all(kind in COHERENT_LINK_KINDS for kind in kinds)
 
     def invalidate_routes(self) -> None:
-        """Drop the route cache (after topology or link-state changes)."""
+        """Drop the route and path caches (after topology or link-state
+        changes)."""
         self._route_cache.clear()
+        self._path_cache.clear()
 
     def __repr__(self) -> str:
         return (

@@ -5,21 +5,15 @@ queue ordered by ``(time, priority, sequence)``.  ``sequence`` makes the
 ordering of simultaneous events deterministic: two runs with the same
 seed produce byte-identical traces.
 
-Two interchangeable scheduler backends implement the queue (DESIGN.md
-§5.2).  The default is a **calendar queue** (R. Brown, CACM '88): an
-array of time buckets whose width adapts to the observed event density,
-giving O(1) amortized enqueue/dequeue in the DES steady state where a
-binary heap pays O(log n).  ``Engine(scheduler="heap")`` keeps the
-original single ``heapq``; both backends produce the *identical* event
-ordering (the conformance suite in ``tests/sim/test_engine_scheduler.py``
-drives them through the same scenarios and asserts equal traces), so the
-choice is purely a performance knob.
+The queue is a single ``heapq`` binary heap (DESIGN.md §5.2).  At the
+queue depths the simulator runs (tens to thousands of entries) it beats
+the calendar queue it once had alongside, so it is the only backend.
+The run loop peeks the heap root once per event and pops it directly.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import typing
 from itertools import count
 
@@ -37,228 +31,13 @@ class EmptySchedule(Exception):
     """Raised by :meth:`Engine.step` when no events remain."""
 
 
-class _HeapScheduler:
-    """The reference backend: one binary heap ordered by the entry tuple."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: typing.List[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: tuple) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def peek_entry(self) -> typing.Optional[tuple]:
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def pop(self) -> tuple:
-        return heapq.heappop(self._heap)
-
-
-class _CalendarScheduler:
-    """Calendar queue: buckets of width ``_width`` ns, rotated cyclically.
-
-    An entry ``(t, prio, seq, event)`` lives in bucket
-    ``int(t / width) % nbuckets``; the *virtual* bucket index
-    ``int(t / width)`` also encodes the rotation ("year"), so one bucket
-    holds at most one window's entries per year and eligibility is the
-    exact integer test ``int(t / width) == current_window`` — the same
-    expression placement uses, so no float-boundary disagreement can
-    reorder events.  Each bucket is itself a small binary heap, so a
-    same-timestamp burst (e.g. thousands of zero-delay events) costs
-    O(log k) per operation instead of an O(k) rescan per pop, and the
-    current window's minimum is simply the bucket root (deterministic
-    total order, same as the global heap); empty
-    windows advance the cursor, and a full fruitless rotation rebuilds
-    the calendar with a width re-derived from the live entries, landing
-    the cursor on the global minimum (sparse regions and stale-width
-    regimes both cost one O(n) rebuild, not one scan per empty window
-    forever).  The bucket count doubles/halves
-    when occupancy leaves [1/4, 4] entries per bucket and the width is
-    re-derived from the live entries' span, keeping ~O(1) scans under
-    the steady-state density the simulator actually produces.
-    """
-
-    __slots__ = ("_buckets", "_nb", "_width", "_inv", "_vb", "_count",
-                 "_inf_entries", "_min", "_sw", "_sp")
-
-    MIN_BUCKETS = 16
-    #: Re-derive the width when the trailing SCAN_PERIOD peeks averaged
-    #: more than SCAN_LIMIT windows each — the signal that the width no
-    #: longer matches the live event density (occupancy thresholds
-    #: cannot catch this: the entry count can sit dead stable while
-    #: every scan walks dozens of stale-width windows).
-    SCAN_PERIOD = 512
-    SCAN_LIMIT = 6
-
-    def __init__(self) -> None:
-        self._nb = self.MIN_BUCKETS
-        self._buckets: typing.List[list] = [[] for _ in range(self._nb)]
-        self._width = 1.0
-        self._inv = 1.0
-        self._vb = 0          # current virtual window index
-        self._count = 0       # finite-time entries across all buckets
-        self._inf_entries: typing.List[tuple] = []  # t == +inf parking
-        #: Cached (entry, holding list) of the scheduled minimum, or None.
-        self._min: typing.Optional[tuple] = None
-        self._sw = 0          # windows walked over the trailing peeks
-        self._sp = 0          # peeks in the current sampling period
-
-    def __len__(self) -> int:
-        return self._count + len(self._inf_entries)
-
-    def push(self, entry: tuple) -> None:
-        t = entry[0]
-        if t == _INF:
-            heapq.heappush(self._inf_entries, entry)
-            m = self._min
-            if m is not None and entry < m[0]:
-                # Only possible when the cached min is itself infinite
-                # (URGENT beats NORMAL at t == inf); without this the
-                # cache would return the old root while pop() removes
-                # the new one — one entry processed twice, one lost.
-                self._min = (entry, self._inf_entries)
-            return
-        if self._count > 4 * self._nb:
-            self._resize(2 * self._nb)
-        self._count += 1
-        w = int(t * self._inv)
-        if w < self._vb:
-            # peek() may have parked _vb on a far-future window (e.g.
-            # run(until=...) peeked past the horizon and broke without
-            # popping); a later push at an earlier — still legal,
-            # t >= now — time must drag the cursor back or every scan
-            # would start beyond this entry and skip it.
-            self._vb = w
-        bucket = self._buckets[w % self._nb]
-        heapq.heappush(bucket, entry)
-        m = self._min
-        if m is not None and entry < m[0]:
-            # entry beats the global min, so it is also its bucket's
-            # new root — (entry, bucket) stays a valid (root, holder).
-            self._min = (entry, bucket)
-
-    def _resize(self, nb: int) -> None:
-        entries = [e for b in self._buckets for e in b]
-        if entries:
-            tmin = min(e[0] for e in entries)
-            tmax = max(e[0] for e in entries)
-            span = tmax - tmin
-            if span > 0.0:
-                # Aim for ~2 entries per window; clamp the width so
-                # int(t / width) stays far from float overflow.
-                width = max(2.0 * span / len(entries),
-                            math.ulp(tmax) * 4.0)
-                self._width = width
-                self._inv = 1.0 / width
-        self._nb = nb
-        self._buckets = [[] for _ in range(nb)]
-        inv = self._inv
-        for e in entries:
-            self._buckets[int(e[0] * inv) % nb].append(e)
-        for b in self._buckets:
-            if len(b) > 1:
-                heapq.heapify(b)
-        if entries:
-            self._vb = int(tmin * inv)
-        self._min = None
-
-    def peek_entry(self) -> typing.Optional[tuple]:
-        m = self._min
-        if m is not None:
-            return m[0]
-        if self._count == 0:
-            if self._inf_entries:
-                best = self._inf_entries[0]
-                self._min = (best, self._inf_entries)
-                return best
-            return None
-        # Every entry's window is >= _vb (peeks commit _vb only after a
-        # scan proves no earlier window holds an entry; pushes drag _vb
-        # back when they land below it; resize parks _vb on the
-        # minimum).  A bucket's heap root is its smallest entry, so a
-        # current-window entry — smaller than any later-year entry in
-        # the same bucket — is the root whenever one exists: checking
-        # the root alone is exact, O(1) per bucket.
-        for attempt in (0, 1):
-            buckets = self._buckets
-            nb = self._nb
-            inv = self._inv
-            vb = self._vb
-            found = None
-            walked = nb
-            for w in range(nb):
-                bucket = buckets[vb % nb]
-                if bucket:
-                    best = bucket[0]
-                    if int(best[0] * inv) == vb:
-                        found = (best, bucket)
-                        walked = w + 1
-                        break
-                vb += 1
-            if found is None:
-                # A full rotation found nothing current: the next event
-                # lies in a sparse region far ahead.  Rebuild (below);
-                # the retry cannot miss — the rebuild parks the cursor
-                # on the global minimum's window.
-                if attempt:
-                    raise AssertionError("calendar queue lost an entry")
-            else:
-                self._sw += walked
-                self._sp += 1
-                if self._sp >= self.SCAN_PERIOD:
-                    drifted = self._sw > self.SCAN_LIMIT * self._sp
-                    self._sw = 0
-                    self._sp = 0
-                    if drifted and attempt == 0:
-                        # Scans walk many windows per event: the width
-                        # no longer matches the live density (it is only
-                        # derived at resize time — e.g. while every
-                        # entry sat at t=0 during setup).  Rebuild with
-                        # a re-derived width and find the min again.
-                        self._resize(self._nb)
-                        continue
-                self._vb = vb
-                self._min = found
-                return found[0]
-            self._resize(self._nb)
-        raise AssertionError("unreachable")
-
-    def pop(self) -> tuple:
-        m = self._min
-        if m is None:
-            self.peek_entry()
-            m = self._min
-        entry, holder = m
-        heapq.heappop(holder)
-        self._min = None
-        if holder is not self._inf_entries:
-            self._count -= 1
-            if self._count < self._nb // 4 and self._nb > self.MIN_BUCKETS:
-                self._resize(self._nb // 2)
-        return entry
-
-
-_SCHEDULERS = {"calendar": _CalendarScheduler, "heap": _HeapScheduler}
-
-
 class Engine:
     """Discrete-event simulation engine with a nanosecond clock."""
 
-    def __init__(self, start: float = 0.0, scheduler: str = "calendar"):
+    def __init__(self, start: float = 0.0):
         self._now = float(start)
-        try:
-            self._sched = _SCHEDULERS[scheduler]()
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; "
-                f"choose from {sorted(_SCHEDULERS)}"
-            ) from None
-        self.scheduler = scheduler
+        #: Binary heap of ``(time, priority, sequence, event)`` entries.
+        self._queue: typing.List[tuple] = []
         self._seq = count()
         self._active_process: typing.Optional[Process] = None
         #: Lifetime count of processed events (observability; plain int
@@ -273,7 +52,7 @@ class Engine:
     @property
     def queue_depth(self) -> int:
         """Events currently scheduled and not yet processed."""
-        return len(self._sched)
+        return len(self._queue)
 
     @property
     def active_process(self) -> typing.Optional[Process]:
@@ -285,18 +64,20 @@ class Engine:
         """Queue ``event`` to be processed ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._sched.push((self._now + delay, priority, next(self._seq), event))
+        heapq.heappush(
+            self._queue, (self._now + delay, priority, next(self._seq), event)
+        )
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        entry = self._sched.peek_entry()
-        return entry[0] if entry is not None else _INF
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Process the next event, advancing the clock."""
-        if not len(self._sched):
+        if not self._queue:
             raise EmptySchedule()
-        self._now, _, _, event = self._sched.pop()
+        self._now, _, _, event = heapq.heappop(self._queue)
         self.events_processed += 1
         event._process()
 
@@ -308,7 +89,7 @@ class Engine:
         return its value, re-raising its exception on failure).
         """
         stop_event: typing.Optional[Event] = None
-        stop_time = float("inf")
+        stop_time = _INF
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
@@ -316,13 +97,17 @@ class Engine:
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} lies in the past (now={self._now})")
 
-        while len(self._sched):
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
             if stop_event is not None and stop_event.processed:
                 break
-            if self.peek() > stop_time:
+            if queue[0][0] > stop_time:
                 self._now = stop_time
                 break
-            self.step()
+            self._now, _, _, event = pop(queue)
+            self.events_processed += 1
+            event._process()
 
         if stop_event is not None:
             if not stop_event.triggered:
@@ -332,7 +117,7 @@ class Engine:
             if not stop_event.ok:
                 raise stop_event.value  # type: ignore[misc]
             return stop_event.value
-        if until is not None and self._now < stop_time and not len(self._sched):
+        if until is not None and self._now < stop_time and not queue:
             # Queue drained before the requested horizon; land exactly on it.
             self._now = stop_time
         return None
@@ -360,7 +145,4 @@ class Engine:
         return AnyOf(self, events)
 
     def __repr__(self) -> str:
-        return (
-            f"<Engine now={self._now} queued={len(self._sched)} "
-            f"scheduler={self.scheduler}>"
-        )
+        return f"<Engine now={self._now} queued={len(self._queue)}>"

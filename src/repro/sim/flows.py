@@ -23,7 +23,8 @@ with ``FlowNetwork(..., incremental=False)``) is differentially tested
 against the incremental path in ``tests/sim/test_flows_differential.py``:
 same scenario, byte-identical rates and traces.
 
-Two further levers attack the dense-contention regime (DESIGN.md §5.2):
+Two further levers attack the dense-contention regime, and a third keeps
+the sparse one cheap (DESIGN.md §5.2):
 
 * **Vectorized waterfill** — mutable per-flow solver state (rate,
   settlement stamp, remaining bytes, generation, bottleneck) lives in
@@ -56,6 +57,17 @@ Two further levers attack the dense-contention regime (DESIGN.md §5.2):
   completion timer) flushes first.  ``FlowNetwork(..., batch=False)``
   keeps the eager behaviour for differential testing.
 
+* **Cheap small components** — most transfers run alone or beside a
+  few others, so the one-flow case pays no solver bookkeeping it does
+  not need.  A flow whose latency phase ends solves inline when nothing
+  is pending and the next queued event is later (the flush would run
+  next with nothing to merge); a finish whose links carry no other
+  live flow only re-arms the completion timer.  An isolated transfer
+  thus costs three engine events: starter, timer, done.  A one-flow
+  component is solved in closed form, and the vector core's per-link
+  slot rows exist only while it is in use (built on its first run,
+  dropped when the network drains).
+
 Units: time in nanoseconds, bandwidth in bytes/ns (1 byte/ns = 1 GB/s
 with GB = 1e9 bytes).
 """
@@ -67,6 +79,7 @@ import math
 import typing
 from array import array as _stdarray
 from itertools import count
+from operator import attrgetter
 
 from repro.sim.engine import Engine
 from repro.sim.events import Event
@@ -150,6 +163,9 @@ class Link:
         if self.degrade_factor != 1.0:
             state += f" degraded×{self.degrade_factor:g}"
         return f"<Link {self.name} {self.bandwidth:.3f}B/ns {self.latency:.0f}ns {state}>"
+
+
+_link_id = attrgetter("id")
 
 
 class _Flow:
@@ -274,45 +290,51 @@ def waterfill(
     """
     if ordered_ids is None:
         ordered_ids = sorted(flows_by_id)
-    by_link: typing.Dict[int, list] = {}  # lid -> [remaining_cap, unfrozen fid set]
+    # lid -> [remaining capacity, unfrozen count, member fids ascending, lid]
+    by_link: typing.Dict[int, list] = {}
     for fid in ordered_ids:
         for link in flows_by_id[fid].links:
             entry = by_link.get(link.id)
             if entry is None:
-                by_link[link.id] = entry = [link.effective_bandwidth, set()]
-            entry[1].add(fid)
+                by_link[link.id] = entry = [
+                    link.effective_bandwidth, 0, [], link.id,
+                ]
+            entry[1] += 1
+            entry[2].append(fid)
 
     rates: typing.Dict[int, float] = {}
-    link_ids = sorted(by_link)
-    while True:
+    # Links with unfrozen flows, ascending link id.
+    live = [by_link[lid] for lid in sorted(by_link)]
+    while live:
         # Fair share offered by each link that still has unfrozen flows.
-        bottleneck_id = None
+        bottleneck = None
         bottleneck_share = float("inf")
-        for lid in link_ids:
-            cap, unfrozen = by_link[lid]
-            if not unfrozen:
-                continue
-            share = cap / len(unfrozen)
+        for entry in live:
+            share = entry[0] / entry[1]
             if share < bottleneck_share:
                 bottleneck_share = share
-                bottleneck_id = lid
-        if bottleneck_id is None:
+                bottleneck = entry
+        if bottleneck is None:
             break
         # Freeze every unfrozen flow on the bottleneck at that share,
         # tallying how many froze per affected link.
+        bottleneck_id = bottleneck[3]
         frozen_per_link: typing.Dict[int, int] = {}
-        for fid in sorted(by_link[bottleneck_id][1]):
+        for fid in bottleneck[2]:
+            if fid in rates:
+                continue  # froze at an earlier bottleneck
             rates[fid] = bottleneck_share
             if bottlenecks is not None:
                 bottlenecks[fid] = bottleneck_id
             for link in flows_by_id[fid].links:
-                by_link[link.id][1].discard(fid)
                 frozen_per_link[link.id] = frozen_per_link.get(link.id, 0) + 1
         for lid, k in frozen_per_link.items():
             entry = by_link[lid]
+            entry[1] -= k
             entry[0] -= bottleneck_share * k
             if entry[0] < 0:
                 entry[0] = 0.0
+        live = [entry for entry in live if entry[1]]
     return rates
 
 
@@ -360,9 +382,11 @@ class FlowNetwork:
         self._st_fid = _stdarray("q")
         #: link id -> [int64 slot buffer, live count, cached view|None]:
         #: each link's flows' slots, ascending, in a capacity-doubling
-        #: buffer (maintained only when numpy is available; the vector
-        #: solver concatenates these instead of walking flows in Python).
-        self._link_rows: typing.Dict[int, list] = {}
+        #: buffer (the vector solver concatenates these instead of
+        #: walking flows in Python).  None until the vector core first
+        #: runs, and again once the network drains, so small-component
+        #: workloads never pay for them.
+        self._link_rows: typing.Optional[typing.Dict[int, list]] = None
         #: Cached ``np.frombuffer`` views over the state columns; must be
         #: dropped before any column append (a stdlib array refuses to
         #: resize while a buffer view is exported).
@@ -436,7 +460,7 @@ class FlowNetwork:
 
         start_time = self.engine.now
 
-        def _start(_event: Event) -> None:
+        def _start(starter: typing.Optional[Event]) -> None:
             if done.triggered:
                 return  # cancelled during the latency phase
             for link in route:
@@ -453,7 +477,7 @@ class FlowNetwork:
             if len(flow.route) != len(links):
                 self._degenerate += 1
             adj = self._link_adj
-            use_rows = _np is not None
+            use_rows = self._link_rows is not None
             for i, link in enumerate(links):
                 self._by_link.setdefault(link.id, {})[flow.id] = flow
                 self._link_objs[link.id] = link
@@ -467,7 +491,14 @@ class FlowNetwork:
             self._by_event[done] = flow
             if len(self._flows) > self.peak_active_flows:
                 self.peak_active_flows = len(self._flows)
-            self._resolve(flow.links)
+            if (starter is not None and not self._pending_seeds
+                    and self.engine.peek() > self.engine.now):
+                # Nothing else runs at this instant, so a deferred flush
+                # would be the very next event with nothing to merge:
+                # solve now and save the event.
+                self._resolve_now(links)
+            else:
+                self._resolve(links)
 
         if latency > 0:
             starter = Event(self.engine)
@@ -476,7 +507,9 @@ class FlowNetwork:
             starter.add_callback(_start)
             self.engine.schedule(starter, delay=latency)
         else:
-            _start(done)
+            # Inline start: the caller may start more transfers at this
+            # instant, so the re-solve stays deferred.
+            _start(None)
         return done
 
     def fail_link(self, link: Link) -> list:
@@ -641,14 +674,18 @@ class FlowNetwork:
          self._st_gen, self._st_bn, self._st_fid) = packed
         for i, flow in enumerate(live):
             flow.slot = i
-        if _np is not None:
-            rows = {}
-            for lid, flows_here in self._by_link.items():
-                buf = _np.array(
-                    sorted(f.slot for f in flows_here.values()), _np.int64
-                )
-                rows[lid] = [buf, len(flows_here), buf]
-            self._link_rows = rows
+        if self._link_rows is not None:
+            self._link_rows = self._build_link_rows()
+
+    def _build_link_rows(self) -> typing.Dict[int, list]:
+        """Per-link sorted slot arrays for every link with live flows."""
+        rows = {}
+        for lid, flows_here in self._by_link.items():
+            buf = _np.array(
+                sorted(f.slot for f in flows_here.values()), _np.int64
+            )
+            rows[lid] = [buf, len(flows_here), buf]
+        return rows
 
     def _rows_append(self, lid: int, slot: int) -> None:
         """Add a (new, hence largest) slot to a link's sorted slot array."""
@@ -719,7 +756,7 @@ class FlowNetwork:
         if len(flow.route) != len(links):
             self._degenerate -= 1
         adj = self._link_adj
-        use_rows = _np is not None
+        use_rows = self._link_rows is not None
         for i, link in enumerate(links):
             flows_here = self._by_link[link.id]
             del flows_here[flow.id]
@@ -745,6 +782,8 @@ class FlowNetwork:
             if not row:
                 del adj[link.id]
         self._by_event.pop(flow.event, None)
+        if not self._flows:
+            self._link_rows = None
 
     def _component_links(
         self, seed_links: typing.Iterable[Link]
@@ -910,12 +949,31 @@ class FlowNetwork:
         one ``bytes_carried`` addition of the flow-major sum over the
         flows settled by this solve — mirroring the vector core so both
         produce bit-identical link counters.
+
+        A one-flow component (the common case at low contention) is
+        solved in closed form: its rate is the first strict minimum of
+        its links' capacities in ascending link-id order, which is the
+        single freeze round :func:`waterfill` would make (``cap / 1`` is
+        exactly ``cap``).
         """
-        ordered = sorted(component)
         bottlenecks: typing.Optional[typing.Dict[int, int]] = (
             {} if want_bottlenecks else None
         )
-        rates = waterfill(component, ordered, bottlenecks)
+        if len(component) == 1:
+            ordered = list(component)
+            fid = ordered[0]
+            rates: typing.Dict[int, float] = {}
+            best = float("inf")
+            for link in sorted(component[fid].links, key=_link_id):
+                cap = link.effective_bandwidth
+                if cap < best:
+                    best = cap
+                    rates[fid] = cap
+                    if bottlenecks is not None:
+                        bottlenecks[fid] = link.id
+        else:
+            ordered = sorted(component)
+            rates = waterfill(component, ordered, bottlenecks)
         st_rate = self._st_rate
         st_rem = self._st_rem
         st_gen = self._st_gen
@@ -1004,6 +1062,8 @@ class FlowNetwork:
         lids.sort()
         nl = len(lids)
         link_rows = self._link_rows
+        if link_rows is None:
+            link_rows = self._link_rows = self._build_link_rows()
         row_views = []
         ptr = [0]
         n_inc = 0
@@ -1254,9 +1314,12 @@ class FlowNetwork:
             self._finish(flow, now)
             for link in flow.links:
                 seeds[link.id] = link
-        if seeds:
+        by_link = self._by_link
+        if any(lid in by_link for lid in seeds):
             self._resolve(seeds.values())
         else:
+            # No live flow shares a link with the finished ones: their
+            # component is gone and nothing is left to re-solve.
             self._arm_timer()
 
     def _finish(self, flow: _Flow, now: float) -> None:

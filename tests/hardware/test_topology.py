@@ -235,3 +235,44 @@ class TestClusterTransfers:
         cluster.memory["dram0"].fail()
         assert cluster.memory_devices(kind=MemoryKind.DRAM) == []
         assert cluster.memory_devices(kind=MemoryKind.DRAM, alive_only=False)
+
+
+class TestPathRecords:
+    def test_path_queries_follow_reroute_and_restore(self):
+        """path_latency/addressable/coherent are cached per route and
+        must follow link failures and restores through the fault
+        handlers on the redundant fabric."""
+        rack = Cluster.preset("dual-plane-rack")
+        topo = rack.topology
+        src, dst = "cpu1", "dram-pool0"
+
+        def route_latency():
+            return sum(link.latency for link in topo.route(src, dst))
+
+        def inject(kind, plane):
+            for link in topo.links():
+                if plane in link.name:
+                    rack.faults.inject_now(kind, link.name)
+
+        healthy = topo.path_latency(src, dst)
+        assert healthy == route_latency()
+        assert topo.addressable(src, dst) and topo.coherent(src, dst)
+
+        inject(FaultKind.LINK_DOWN, "plane-a")
+        assert all("plane-b" in link.name for link in topo.route(src, dst))
+        assert topo.path_latency(src, dst) == route_latency() != healthy
+        assert topo.addressable(src, dst) and topo.coherent(src, dst)
+
+        inject(FaultKind.LINK_DOWN, "plane-b")
+        with pytest.raises(NoRouteError):
+            topo.path_latency(src, dst)
+        assert not topo.addressable(src, dst)
+        assert not topo.coherent(src, dst)
+
+        inject(FaultKind.LINK_UP, "plane-b")
+        assert topo.path_latency(src, dst) == route_latency() != healthy
+        assert topo.addressable(src, dst) and topo.coherent(src, dst)
+
+        inject(FaultKind.LINK_UP, "plane-a")
+        assert topo.path_latency(src, dst) == healthy == route_latency()
+        assert topo.addressable(src, dst) and topo.coherent(src, dst)

@@ -1,16 +1,16 @@
-"""Conformance suite for the engine's scheduler backends.
+"""Ordering suite for the engine's event queue.
 
-The engine offers two interchangeable event-queue implementations
-(DESIGN.md §5.2): the reference binary heap and the calendar queue.
-Every test here drives both backends through the same scenario and
-asserts *identical* observable behaviour — event processing order,
-clock trajectory, ``peek()``, and ``queue_depth`` — so the backend
-choice stays a pure performance knob.  The scenarios deliberately hit
-the spots where a calendar queue could diverge from a heap: timestamp
-ties broken by priority/sequence, zero-delay self-reschedules, bursts
-that pile thousands of entries into one bucket, sparse far-future
-jumps that force a width rebuild, and seeded random interleavings of
-all of the above.
+The engine keeps one binary heap ordered by ``(time, priority,
+sequence)`` (DESIGN.md §5.2).  Every test here pins the processing
+order against ``sorted()`` of the entries pushed: either all entries
+are pushed up front and the drain must equal their sorted order, or a
+recording engine checks at every pop that the processed entry is the
+smallest of the entries still pending.  The scenarios are the spots an
+event queue gets wrong: timestamp ties broken by priority/sequence,
+zero-delay self-reschedules, bursts at one instant, far-future jumps,
+``run(until=...)`` horizon breaks followed by earlier scheduling,
+URGENT entries at infinity, and seeded random interleavings of all of
+the above.
 """
 
 import random
@@ -18,155 +18,174 @@ import random
 import pytest
 
 from repro.sim import Engine
-from repro.sim.engine import (
-    NORMAL,
-    URGENT,
-    _CalendarScheduler,
-    _HeapScheduler,
-)
+from repro.sim.engine import NORMAL, URGENT
 from repro.sim.events import Event
 
-BACKENDS = ("heap", "calendar")
+INF = float("inf")
 
 
-def _trace_run(scheduler, build):
-    """Run ``build(engine, trace)`` on a fresh engine; return the trace."""
-    engine = Engine(scheduler=scheduler)
+class _RecordingEngine(Engine):
+    """Engine that checks each processed entry against ``sorted()`` of
+    the entries pending at that moment, and keeps the processing trace."""
+
+    def __init__(self):
+        super().__init__()
+        self._pending = {}
+        self._keys = 0
+        self.processed = []
+
+    def schedule(self, event, delay=0.0, priority=NORMAL):
+        super().schedule(event, delay=delay, priority=priority)
+        key = (self.now + delay, priority, self._keys)
+        self._keys += 1
+        self._pending[key] = event
+        event.callbacks.insert(0, lambda _ev, key=key: self._popped(key))
+
+    def _popped(self, key):
+        assert key == sorted(self._pending)[0]
+        del self._pending[key]
+        self.processed.append(key)
+
+
+def _ready_event(engine, tag, trace):
+    event = Event(engine)
+    event._ok = True
+    event._value = None
+    event.callbacks.append(lambda _ev: trace.append(tag))
+    return event
+
+
+def _push_all(engine, entries):
+    """Schedule one event per ``(time, priority, tag)`` entry at t=0;
+    return the trace their callbacks append their tags to."""
     trace = []
-    build(engine, trace)
-    engine.run()
+    for t, priority, tag in entries:
+        engine.schedule(_ready_event(engine, tag, trace), delay=t,
+                        priority=priority)
     return trace
 
 
-def _assert_backends_agree(build):
-    traces = {s: _trace_run(s, build) for s in BACKENDS}
-    assert traces["calendar"] == traces["heap"]
-    return traces["heap"]
+def _expected_tags(entries):
+    """Tags in ``sorted()`` order of the pushed (time, priority, seq)."""
+    keyed = [(t, p, seq, tag) for seq, (t, p, tag) in enumerate(entries)]
+    return [tag for *_key, tag in sorted(keyed)]
 
 
-# -- direct scheduler-level conformance ---------------------------------
+def _run_recorded(build):
+    engine = _RecordingEngine()
+    trace = []
+    build(engine, trace)
+    engine.run()
+    assert not engine._pending
+    return trace
 
 
-def _drain(sched):
-    out = []
-    while len(sched):
-        out.append(sched.pop())
-    return out
+# -- queue-level ordering ------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 23, 99])
 def test_push_pop_total_order_matches_heap(seed):
-    """Random (time, priority, seq) entries drain in identical order."""
+    """Random (time, priority) entries drain in sorted() order."""
     rng = random.Random(seed)
     entries = []
-    seq = 0
-    for _ in range(500):
+    for tag in range(500):
         t = float(rng.choice([0, 1, 5, 10, 10, 1000, 10**6, 10**9]))
         t += rng.random() * rng.choice([0.0, 1.0, 1e3])
-        entries.append((t, rng.choice([URGENT, NORMAL, 3]), seq, None))
-        seq += 1
-    heap, cal = _HeapScheduler(), _CalendarScheduler()
-    for e in entries:
-        heap.push(e)
-        cal.push(e)
-    assert _drain(cal) == _drain(heap) == sorted(entries, key=lambda e: e[:3])
+        entries.append((t, rng.choice([URGENT, NORMAL, 3]), tag))
+    engine = Engine()
+    trace = _push_all(engine, entries)
+    engine.run()
+    assert trace == _expected_tags(entries)
 
 
 @pytest.mark.parametrize("seed", [3, 17, 42])
 def test_interleaved_push_pop_matches_heap(seed):
-    """Pops interleaved with monotone pushes agree entry-for-entry."""
+    """Steps interleaved with monotone pushes: each step processes the
+    smallest pending entry and ``peek()`` always reports its time."""
     rng = random.Random(seed)
-    heap, cal = _HeapScheduler(), _CalendarScheduler()
-    seq = 0
-    now = 0.0
-    popped = []
+    engine = _RecordingEngine()
     for _ in range(2000):
-        if len(heap) == 0 or rng.random() < 0.55:
-            # New work is never scheduled into the past, mirroring the
-            # engine contract the calendar queue relies on.
-            t = now + float(rng.randrange(0, 10**6))
-            e = (t, rng.choice([URGENT, NORMAL]), seq, None)
-            seq += 1
-            heap.push(e)
-            cal.push(e)
+        if engine.queue_depth == 0 or rng.random() < 0.55:
+            engine.schedule(
+                _ready_event(engine, None, []),
+                delay=float(rng.randrange(0, 10**6)),
+                priority=rng.choice([URGENT, NORMAL]),
+            )
         else:
-            assert cal.peek_entry() == heap.peek_entry()
-            a, b = heap.pop(), cal.pop()
-            assert a == b
-            now = a[0]
-            popped.append(a)
-    assert popped == sorted(popped)
+            assert engine.peek() == sorted(engine._pending)[0][0]
+            engine.step()
+    assert engine.processed == sorted(engine.processed)
 
 
 def test_same_timestamp_burst_drains_in_seq_order():
-    """20k entries at one instant: the one-bucket pile stays ordered."""
-    cal = _CalendarScheduler()
-    entries = [(0.0, NORMAL, i, None) for i in range(20000)]
-    for e in reversed(entries):
-        cal.push(e)
-    assert _drain(cal) == entries
+    """20k entries at one instant drain in schedule order."""
+    entries = [(0.0, NORMAL, i) for i in range(20000)]
+    engine = Engine()
+    trace = _push_all(engine, entries)
+    engine.run()
+    assert trace == _expected_tags(entries) == list(range(20000))
 
 
 def test_sparse_far_future_jump():
-    """A huge time gap triggers the width rebuild, not an entry loss."""
-    cal = _CalendarScheduler()
-    near = [(float(i), NORMAL, i, None) for i in range(50)]
-    far = [(1e15 + i, NORMAL, 50 + i, None) for i in range(50)]
-    for e in near + far:
-        cal.push(e)
-    assert _drain(cal) == near + far
+    """A 1e15 ns gap between two clusters of entries loses nothing."""
+    entries = [(float(i), NORMAL, i) for i in range(50)]
+    entries += [(1e15 + i, NORMAL, 50 + i) for i in range(50)]
+    engine = Engine()
+    trace = _push_all(engine, list(reversed(entries)))
+    engine.run()
+    assert trace == _expected_tags(list(reversed(entries))) == list(range(100))
+    assert engine.now == 1e15 + 49
 
 
 def test_infinity_entries_park_and_drain_last():
-    cal = _CalendarScheduler()
-    inf = float("inf")
-    cal.push((inf, NORMAL, 0, None))
-    cal.push((5.0, NORMAL, 1, None))
-    cal.push((inf, URGENT, 2, None))
-    assert cal.peek_entry() == (5.0, NORMAL, 1, None)
-    assert [e[2] for e in _drain(cal)] == [1, 2, 0]
+    """Entries at t=inf drain after every finite one, URGENT first."""
+    entries = [(INF, NORMAL, 0), (5.0, NORMAL, 1), (INF, URGENT, 2)]
+    engine = Engine()
+    trace = _push_all(engine, entries)
+    assert engine.peek() == 5.0
+    engine.run()
+    assert trace == _expected_tags(entries) == [1, 2, 0]
 
 
 def test_infinity_push_refreshes_cached_min():
-    """An URGENT inf entry pushed while an inf entry is the cached min
-    must become the new min — a stale cache would pop the new heap root
-    but return the old entry (one processed twice, one lost)."""
-    cal = _CalendarScheduler()
-    inf = float("inf")
-    cal.push((inf, NORMAL, 0, None))
-    assert cal.peek_entry() == (inf, NORMAL, 0, None)  # primes the cache
-    cal.push((inf, URGENT, 1, None))
-    assert cal.peek_entry() == (inf, URGENT, 1, None)
-    assert [e[2] for e in _drain(cal)] == [1, 0]
+    """An URGENT inf entry pushed after a peek saw a NORMAL inf entry
+    becomes the next one processed: peeking has no side effect."""
+    engine = Engine()
+    trace = []
+    engine.schedule(_ready_event(engine, 0, trace), delay=INF)
+    assert engine.peek() == INF
+    engine.schedule(_ready_event(engine, 1, trace), delay=INF,
+                    priority=URGENT)
+    assert engine.peek() == INF
+    engine.run()
+    assert trace == [1, 0]
 
 
 def test_push_below_parked_cursor_is_not_skipped():
-    """peek at a far-future entry (nothing popped), then push earlier
-    entries: the cursor must come back to them, in full — not just the
-    single entry the min cache happens to protect."""
-    cal = _CalendarScheduler()
-    far = (1000.5, NORMAL, 0, None)
-    cal.push(far)
-    assert cal.peek_entry() == far  # parks the cursor far ahead
-    a1 = (160.0, NORMAL, 1, None)
-    a2 = (161.0, NORMAL, 2, None)
-    cal.push(a1)
-    cal.push(a2)
-    assert _drain(cal) == [a1, a2, far]
+    """Peek at a far-future entry without processing it, then push
+    earlier entries: all of them fire before it, in time order."""
+    engine = Engine()
+    trace = []
+    engine.schedule(_ready_event(engine, "far", trace), delay=1000.5)
+    assert engine.peek() == 1000.5
+    engine.schedule(_ready_event(engine, "a1", trace), delay=160.0)
+    engine.schedule(_ready_event(engine, "a2", trace), delay=161.0)
+    engine.run()
+    assert trace == ["a1", "a2", "far"]
 
 
-# -- engine-level conformance -------------------------------------------
+# -- engine-level ordering -----------------------------------------------
 
 
 def test_engine_rejects_unknown_scheduler():
-    with pytest.raises(ValueError):
-        Engine(scheduler="fifo")
+    """The heap is the only queue; there is no backend option."""
+    with pytest.raises(TypeError):
+        Engine(scheduler="heap")
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
-def test_peek_and_queue_depth_track_schedule(scheduler):
-    engine = Engine(scheduler=scheduler)
-    assert engine.peek() == float("inf")
+def test_peek_and_queue_depth_track_schedule():
+    engine = Engine()
+    assert engine.peek() == INF
     assert engine.queue_depth == 0
     engine.timeout(30.0)
     engine.timeout(10.0)
@@ -181,25 +200,16 @@ def test_peek_and_queue_depth_track_schedule(scheduler):
 
 def test_tie_order_priority_then_sequence():
     """Same-instant events: URGENT first, then schedule order."""
-
-    def build(engine, trace):
-        for tag in "abc":
-            event = Event(engine)
-            event._ok = True
-            event._value = None
-            event.callbacks.append(
-                lambda ev, tag=tag: trace.append((engine.now, tag))
-            )
-            engine.schedule(event, delay=50.0,
-                            priority=URGENT if tag == "b" else NORMAL)
-
-    trace = _assert_backends_agree(build)
-    assert trace == [(50.0, "b"), (50.0, "a"), (50.0, "c")]
+    entries = [(50.0, URGENT if tag == "b" else NORMAL, tag) for tag in "abc"]
+    engine = Engine()
+    trace = _push_all(engine, entries)
+    engine.run()
+    assert trace == _expected_tags(entries) == ["b", "a", "c"]
 
 
 def test_zero_delay_self_reschedule_runs_same_instant():
     """yield timeout(0) re-enters the queue at now and runs before later
-    events — on both backends, in the same order."""
+    events."""
 
     def build(engine, trace):
         def bouncer():
@@ -214,15 +224,16 @@ def test_zero_delay_self_reschedule_runs_same_instant():
         engine.process(bouncer())
         engine.process(later())
 
-    trace = _assert_backends_agree(build)
+    trace = _run_recorded(build)
     assert trace[:5] == [("bounce", i, 0.0) for i in range(5)]
     assert trace[-1] == ("later", 1.0)
 
 
 @pytest.mark.parametrize("seed", [11, 29, 61])
 def test_random_interleaving_traces_identical(seed):
-    """Seeded random process soup: identical event traces on both
-    backends (timer churn, ties, zero delays, urgent pings, far jumps)."""
+    """Seeded random process soup (timer churn, ties, zero delays,
+    urgent pings, far jumps): every processed entry is the smallest
+    pending one, and a second run reproduces the trace exactly."""
 
     def build(engine, trace):
         rng = random.Random(seed)
@@ -241,67 +252,59 @@ def test_random_interleaving_traces_identical(seed):
         for wid in range(40):
             engine.process(worker(wid))
 
-    _assert_backends_agree(build)
+    trace = _run_recorded(build)
+    assert trace == sorted(trace, key=lambda hit: hit[0])
+    assert _run_recorded(build) == trace
 
 
 def test_schedule_after_horizon_break_preserves_order():
     """run(until=...) breaks on a peek beyond the horizon without
-    popping; work scheduled afterwards at earlier (legal, t >= now)
-    times must still fire first.  This is the reviewed repro: the
-    calendar backend used to park its cursor on the far entry's window
-    and skip all but one of the later-pushed earlier events, firing
-    160, 1000.5, 161 with a backward-jumping clock."""
-    traces = {}
-    for scheduler in BACKENDS:
-        engine = Engine(scheduler=scheduler)
-        trace = []
-        far = engine.timeout(1000.5)
-        far.callbacks.append(lambda ev, e=engine: trace.append(e.now))
-        engine.run(until=100.0)
-        assert engine.now == 100.0
-        for delay in (60.0, 61.0):  # fires at t=160, t=161
-            tmo = engine.timeout(delay)
-            tmo.callbacks.append(lambda ev, e=engine: trace.append(e.now))
-        engine.run()
-        traces[scheduler] = trace
-        assert trace == sorted(trace), f"{scheduler}: clock went backwards"
-    assert traces["calendar"] == traces["heap"] == [160.0, 161.0, 1000.5]
+    processing; work scheduled afterwards at earlier (legal, t >= now)
+    times must still fire first, with a monotone clock."""
+    engine = _RecordingEngine()
+    trace = []
+    far = engine.timeout(1000.5)
+    far.callbacks.append(lambda ev: trace.append(engine.now))
+    engine.run(until=100.0)
+    assert engine.now == 100.0
+    for delay in (60.0, 61.0):  # fires at t=160, t=161
+        tmo = engine.timeout(delay)
+        tmo.callbacks.append(lambda ev: trace.append(engine.now))
+    engine.run()
+    assert trace == [160.0, 161.0, 1000.5]
 
 
 @pytest.mark.parametrize("seed", [5, 13, 37])
 def test_random_horizon_breaks_with_late_scheduling(seed):
     """Interleave run(until=horizon) breaks with scheduling work that
-    lands before the queue's current next event: both backends must
-    produce the identical trace and a monotone clock."""
-    traces = {}
-    for scheduler in BACKENDS:
-        rng = random.Random(seed)
-        engine = Engine(scheduler=scheduler)
-        trace = []
+    lands before the queue's current next event: every processed entry
+    is the smallest pending one and the clock is monotone."""
+    rng = random.Random(seed)
+    engine = _RecordingEngine()
+    trace = []
 
-        def note(ev, e=engine, t=trace):
-            t.append(e.now)
+    def note(ev):
+        trace.append(engine.now)
 
-        # Seed a sparse far-future backbone so peeks overshoot horizons.
-        for i in range(10):
-            tmo = engine.timeout(float(10**4 * (i + 1)) + 0.5)
+    # Seed a sparse far-future backbone so peeks overshoot horizons.
+    for i in range(10):
+        tmo = engine.timeout(float(10**4 * (i + 1)) + 0.5)
+        tmo.callbacks.append(note)
+    for _ in range(200):
+        horizon = engine.now + float(rng.randrange(1, 5000))
+        engine.run(until=horizon)
+        assert engine.now == horizon
+        for _ in range(rng.randrange(0, 4)):
+            tmo = engine.timeout(float(rng.randrange(0, 3000)))
             tmo.callbacks.append(note)
-        for _ in range(200):
-            horizon = engine.now + float(rng.randrange(1, 5000))
-            engine.run(until=horizon)
-            assert engine.now == horizon
-            for _ in range(rng.randrange(0, 4)):
-                tmo = engine.timeout(float(rng.randrange(0, 3000)))
-                tmo.callbacks.append(note)
-        engine.run()
-        assert trace == sorted(trace), f"{scheduler}: clock went backwards"
-        traces[scheduler] = trace
-    assert traces["calendar"] == traces["heap"]
+    engine.run()
+    assert trace == sorted(trace)
+    assert len(trace) == len(engine.processed)
+    assert not engine._pending
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
-def test_run_until_horizon_equivalent(scheduler):
-    engine = Engine(scheduler=scheduler)
+def test_run_until_horizon_equivalent():
+    engine = Engine()
     hits = []
 
     def proc():

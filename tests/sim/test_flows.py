@@ -1,8 +1,11 @@
 """Tests for the max–min fair flow network."""
 
+import random
+
 import pytest
 
 from repro.sim import Engine, FlowNetwork, Link
+from repro.sim import flows as flows_mod
 from repro.sim.flows import LinkDown
 
 
@@ -189,3 +192,116 @@ def test_many_concurrent_flows_complete():
     # 50 flows x 100 B = 5000 B over a 10 B/ns link -> 500ns total.
     assert engine.now == pytest.approx(500.0)
     assert net.completed_transfers == 50
+
+
+def _reference_waterfill(flows_by_id, ordered_ids=None, bottlenecks=None):
+    """The dict-of-sets waterfill the solver shipped before its rewrite,
+    kept verbatim as the reference the rewrite must match bit for bit."""
+    if ordered_ids is None:
+        ordered_ids = sorted(flows_by_id)
+    by_link = {}  # lid -> [remaining_cap, unfrozen fid set]
+    for fid in ordered_ids:
+        for link in flows_by_id[fid].links:
+            entry = by_link.get(link.id)
+            if entry is None:
+                by_link[link.id] = entry = [link.effective_bandwidth, set()]
+            entry[1].add(fid)
+
+    rates = {}
+    link_ids = sorted(by_link)
+    while True:
+        # Fair share offered by each link that still has unfrozen flows.
+        bottleneck_id = None
+        bottleneck_share = float("inf")
+        for lid in link_ids:
+            cap, unfrozen = by_link[lid]
+            if not unfrozen:
+                continue
+            share = cap / len(unfrozen)
+            if share < bottleneck_share:
+                bottleneck_share = share
+                bottleneck_id = lid
+        if bottleneck_id is None:
+            break
+        # Freeze every unfrozen flow on the bottleneck at that share,
+        # tallying how many froze per affected link.
+        frozen_per_link = {}
+        for fid in sorted(by_link[bottleneck_id][1]):
+            rates[fid] = bottleneck_share
+            if bottlenecks is not None:
+                bottlenecks[fid] = bottleneck_id
+            for link in flows_by_id[fid].links:
+                by_link[link.id][1].discard(fid)
+                frozen_per_link[link.id] = frozen_per_link.get(link.id, 0) + 1
+        for lid, k in frozen_per_link.items():
+            entry = by_link[lid]
+            entry[0] -= bottleneck_share * k
+            if entry[0] < 0:
+                entry[0] = 0.0
+    return rates
+
+
+class _ShapeOnly:
+    """The only part of a flow :func:`waterfill` reads: its links."""
+
+    def __init__(self, links):
+        self.links = tuple(links)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_waterfill_matches_dict_of_sets_reference(seed, monkeypatch):
+    """Rates, bottlenecks and their insertion order equal the reference
+    on seeded random components, and the rewrite sorts once per call
+    instead of once per freeze round."""
+    rng = random.Random(seed)
+    links = [Link(f"l{i}", bandwidth=rng.choice([1.0, 2.0, 3.0, 7.5]),
+                  latency=0.0) for i in range(rng.randrange(2, 9))]
+    for link in links:
+        link.degrade_factor = rng.choice([1.0, 1.0, 0.5, 0.3])
+    flows = {}  # inserted in shuffled fid order, not ascending
+    for fid in rng.sample(range(1000), rng.randrange(1, 40)):
+        width = rng.randrange(1, min(5, len(links) + 1))
+        flows[fid] = _ShapeOnly(rng.sample(links, width))
+
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(flows_mod, "sorted", counting_sorted, raising=False)
+    for ordered in (None, sorted(flows)):
+        want_bn, got_bn = {}, {}
+        want = _reference_waterfill(flows, ordered, want_bn)
+        sorts.clear()
+        got = flows_mod.waterfill(flows, ordered, got_bn)
+        assert list(got.items()) == list(want.items())
+        assert list(got_bn.items()) == list(want_bn.items())
+        assert len(sorts) == (2 if ordered is None else 1)
+
+
+def test_isolated_transfer_with_latency_costs_three_events():
+    """Starter, completion timer and the done event: no flush event
+    after the start and no re-solve event after the finish."""
+    engine, net = make_net()
+    link = Link("l0", bandwidth=1.0, latency=100.0)
+    done = net.transfer([link], nbytes=1000.0)
+    engine.run()
+    assert done.ok and engine.now == 1100.0
+    assert engine.events_processed == 3
+
+
+def test_finish_leaving_no_live_flow_does_not_rebalance():
+    """Only a finish whose links still carry a live flow re-solves."""
+    engine, net = make_net()
+    l0, l1, l2 = (Link(f"l{i}", bandwidth=1.0, latency=0.0)
+                  for i in range(3))
+    lone_a = net.transfer([l0], nbytes=100.0)
+    lone_b = net.transfer([l1], nbytes=200.0)
+    short = net.transfer([l2], nbytes=300.0)
+    long = net.transfer([l2], nbytes=900.0)
+    engine.run(until=engine.all_of([lone_a, lone_b, short, long]))
+    # One batched solve at t=0, one when `short` frees half of l2.
+    assert net.rebalances == 2
+    # long: 300 B at 0.5 B/ns until t=600, then 600 B at 1 B/ns.
+    assert engine.now == 1200.0
