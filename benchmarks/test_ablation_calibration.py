@@ -10,15 +10,16 @@ factors separate bandwidth-bound from latency-bound phases.
 """
 
 from benchmarks.conftest import once
+from repro.api import connect
 from repro.apps import build_query_job
 from repro.hardware import Cluster
 from repro.metrics import Profile, Table
-from repro.runtime import CalibratedCostModel, RuntimeSystem
+from repro.runtime import CalibratedCostModel
 
 
 def test_ablation_cost_model_calibration(benchmark, report):
     cluster = Cluster.preset("pooled-rack", trace_categories={"profile"})
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
     model = CalibratedCostModel(cluster)
     waves = []
 
@@ -30,7 +31,7 @@ def test_ablation_cost_model_calibration(benchmark, report):
             samples0 = model.stats.samples
             raw0 = model.stats.raw_error_sum
             corrected0 = model.stats.corrected_error_sum
-            for stats in rts.run_jobs(jobs):
+            for stats in session.run(*jobs):
                 model.observe(Profile.from_run(cluster, stats), stats)
             n = model.stats.samples - samples0
             waves.append((

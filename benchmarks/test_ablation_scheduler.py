@@ -9,6 +9,7 @@ criterion: HEFT's makespan <= both baselines on every workload.
 """
 
 from benchmarks.conftest import once
+from repro.api import connect
 from repro.apps import build_hospital_job, build_query_job, build_training_job
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.hardware import Cluster
@@ -18,7 +19,6 @@ from repro.runtime import (
     HeftScheduler,
     RandomScheduler,
     RoundRobinScheduler,
-    RuntimeSystem,
 )
 
 MiB = 1024 * 1024
@@ -67,8 +67,8 @@ def test_ablation_scheduler(benchmark, report):
             row = {}
             for scheduler_name, factory in SCHEDULERS.items():
                 cluster = Cluster.preset("pooled-rack", seed=23)
-                rts = RuntimeSystem(cluster, scheduler=factory())
-                stats = rts.run_job(builder())
+                session = connect(cluster=cluster, scheduler=factory())
+                stats = session.run(builder())
                 assert stats.ok, (workload_name, scheduler_name)
                 row[scheduler_name] = stats.makespan
             results[workload_name] = row

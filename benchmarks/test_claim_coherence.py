@@ -93,7 +93,7 @@ def test_claim_coherence_ownership_transfer_vs_shared_buffer(benchmark, report):
     """Architectural consequence: a pipeline that *moves* ownership
     outruns one where every stage reads/writes a common shared buffer."""
     from repro.dataflow import Job, RegionUsage, Task, WorkSpec
-    from repro.runtime import RuntimeSystem
+    from repro.api import connect
 
     STAGES = 5
     PAYLOAD = 8 * MiB
@@ -103,7 +103,7 @@ def test_claim_coherence_ownership_transfer_vs_shared_buffer(benchmark, report):
 
         # (a) ownership-transfer pipeline: the runtime's native style.
         cluster = Cluster.preset("pooled-rack", seed=80)
-        rts = RuntimeSystem(cluster)
+        session = connect(cluster=cluster)
         job = Job("owned")
         previous = None
         for i in range(STAGES):
@@ -115,7 +115,7 @@ def test_claim_coherence_ownership_transfer_vs_shared_buffer(benchmark, report):
             if previous is not None:
                 job.connect(previous, task)
             previous = task
-        outcomes["ownership transfer"] = rts.run_job(job).makespan
+        outcomes["ownership transfer"] = session.run(job).makespan
 
         # (b) shared-buffer pipeline: stages hand data through one
         # jointly-owned region (write then read, with coherence).

@@ -23,7 +23,7 @@ from repro.metrics import Table, format_bytes
 from repro.metrics.costs import required_provisioning
 from repro.metrics.energy import STATIC_W_PER_GIB, EnergyMeter
 from repro.hardware.spec import MemoryKind
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 from repro.runtime.transfer import HandoverManager
 
 MiB = 1024 * 1024
@@ -64,7 +64,8 @@ def test_claim_energy_zero_copy(benchmark, report):
 
     def run(force_copy: bool):
         cluster = Cluster.preset("pooled-rack", seed=71)
-        rts = RuntimeSystem(cluster)
+        session = connect(cluster=cluster)
+        rts = session.rts
         if force_copy:
             rts.handover = _CopyAlways(
                 cluster, rts.memory, rts.costmodel, rts.placement
@@ -81,7 +82,7 @@ def test_claim_energy_zero_copy(benchmark, report):
             if previous is not None:
                 job.connect(previous, task)
             previous = task
-        stats = rts.run_job(job)
+        stats = session.run(job)
         breakdown = meter.read()
         return {
             "moved": stats.bytes_copied,

@@ -29,6 +29,7 @@ detector (the monitor registers no handler for any gray fault kind).
 import pytest
 
 from benchmarks.conftest import once
+from repro.api import Session
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.ft import OutputBackupStore
 from repro.hardware import Cluster
@@ -37,6 +38,7 @@ from repro.runtime import (
     DegradationPolicy,
     HealthMonitor,
     HedgePolicy,
+    RackDriver,
     RecoveryPolicy,
     RuntimeSystem,
 )
@@ -79,7 +81,7 @@ def fabric_links(cluster, count=2):
 
 
 def build_stack(seed: int, mode: str):
-    """One (cluster, rts) pair per mode.
+    """One (cluster, session) pair per mode.
 
     Every mode carries the output-backup store (durability is priced
     into all three), so the blind/mitigated delta isolates exactly the
@@ -104,7 +106,7 @@ def build_stack(seed: int, mode: str):
         HealthMonitor(cluster, detection_delay_ns=5_000.0)
         rts = RuntimeSystem(cluster)
     rts.backups = OutputBackupStore(cluster, rts.memory)
-    return cluster, rts
+    return cluster, Session(rts, RackDriver(rts))
 
 
 def schedule_storm(cluster, horizon: float) -> None:
@@ -151,12 +153,16 @@ def p95(values):
 
 
 def run_mode(seed: int, mode: str, horizon: float) -> dict:
-    cluster, rts = build_stack(seed, mode)
+    cluster, session = build_stack(seed, mode)
     if mode != "clean":
         schedule_storm(cluster, horizon)
     latencies, failures, retries_ok = [], 0, True
     for i in range(JOBS_PER_SEED):
-        stats = rts.run_job(build_job(f"{seed}-{i}"))
+        # Stop the clock at the job's finish: the storm is scheduled
+        # beyond it, and the next job must start where this one ended.
+        handle = session.submit(build_job(f"{seed}-{i}"))
+        cluster.engine.run(until=handle.settled)
+        stats = session.result(handle)
         latencies.append(stats.makespan)
         if not stats.ok:
             failures += 1

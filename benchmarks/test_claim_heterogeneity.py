@@ -16,13 +16,14 @@ runtime and the topology-oblivious baseline.  Pass criteria:
 import pytest
 
 from benchmarks.conftest import once
+from repro.api import Session
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.hardware import calibration as cal
 from repro.hardware.cluster import Cluster
 from repro.hardware.spec import GiB, LinkKind
 from repro.memory.interfaces import AccessPattern
 from repro.metrics import Table, format_ns
-from repro.runtime import baselines
+from repro.runtime import RackDriver, baselines
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -89,7 +90,8 @@ def test_claim_heterogeneity_sweep(benchmark, report):
                 for seed in seeds:
                     cluster = build_cluster(tiers, seed=seed)
                     rts = baselines.REGISTRY[variant](cluster)
-                    makespans.append(rts.run_job(workload()).makespan)
+                    session = Session(rts, RackDriver(rts))
+                    makespans.append(session.run(workload()).makespan)
                 row[variant] = sum(makespans) / len(makespans)
             results[label] = row
         return results

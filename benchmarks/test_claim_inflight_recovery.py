@@ -23,6 +23,7 @@ Two scenarios:
 import pytest
 
 from benchmarks.conftest import once
+from repro.api import connect
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.ft import OutputBackupStore
 from repro.hardware import Cluster
@@ -67,7 +68,7 @@ def build_job(tag) -> Job:
 
 def fault_free_makespan() -> float:
     cluster = Cluster.preset("pooled-rack", seed=0)
-    return RuntimeSystem(cluster).run_job(build_job("probe")).makespan
+    return connect(cluster=cluster).run(build_job("probe")).makespan
 
 
 def run_storm(seed: int, horizon: float, with_recovery: bool) -> dict:
@@ -173,8 +174,8 @@ def test_claim_planned_restart_drains_without_failures(benchmark, report):
         cluster = Cluster.preset("pooled-rack", seed=7)
         monitor = HealthMonitor(cluster, detection_delay_ns=5_000.0,
                                 drain_poll_ns=5_000.0)
-        rts = RuntimeSystem(cluster, recovery=RecoveryPolicy())
-        execution = rts.submit(build_job("drain"))
+        session = connect(cluster=cluster, recovery=RecoveryPolicy())
+        execution = session.submit(build_job("drain")).execution
         # Restart the blade actually running the first stage, mid-run.
         victim = cluster.node_of(execution.assignment["s0"])
         cluster.faults.inject_at(10_000.0, FaultKind.NODE_RESTART, victim)

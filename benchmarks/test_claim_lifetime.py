@@ -12,14 +12,15 @@ from benchmarks.conftest import once
 from repro.apps import build_hospital_job, build_query_job
 from repro.hardware import Cluster
 from repro.metrics import Table, format_bytes
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 KiB = 1024
 
 
 def test_claim_lifetime_no_leaks_over_many_jobs(benchmark, report):
     cluster = Cluster.preset("pooled-rack", seed=17)
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
+    rts = session.rts
 
     n_jobs = 200
 
@@ -31,7 +32,7 @@ def test_claim_lifetime_no_leaks_over_many_jobs(benchmark, report):
             else:
                 job = build_hospital_job(n_frames=8)
             job.name = f"{job.name}-{i}"
-            stats = rts.run_job(job)
+            stats = session.run(job)
             assert stats.ok
             peaks.append(max(
                 alloc.peak_bytes for alloc in rts.memory.allocators.values()
@@ -78,7 +79,8 @@ def test_claim_lifetime_shared_regions_freed_after_last_owner(benchmark, report)
 
     cluster = Cluster.preset("pooled-rack", seed=19,
                              trace_categories={"memory"})
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
+    rts = session.rts
 
     def experiment():
         job = Job("fanout-lifetime")
@@ -88,7 +90,7 @@ def test_claim_lifetime_shared_regions_freed_after_last_owner(benchmark, report)
             sink = job.add_task(Task(f"sink{i}", work=WorkSpec(
                 ops=1e4 * (i + 1), input_usage=RegionUsage(0, touches=0.2))))
             job.connect(src, sink)
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.ok
         frees = cluster.trace.by_name("free")
         src_out_free = [e for e in frees if "src#out" in str(e.fields["region"])]

@@ -10,10 +10,10 @@ isolation sanity check (everything completes, nothing leaks).
 import numpy as np
 
 from benchmarks.conftest import once
+from repro.api import connect
 from repro.apps import build_hospital_job, build_query_job
 from repro.hardware import Cluster
 from repro.metrics import Table, format_ns
-from repro.runtime import RackDriver, RuntimeSystem
 from repro.workloads import poisson_arrivals
 
 KiB = 1024
@@ -52,10 +52,9 @@ def test_claim_multitenant_rack(benchmark, report):
     def experiment():
         for cap in (1, 4, 16):
             cluster = Cluster.preset("pooled-rack", seed=47)
-            rts = RuntimeSystem(cluster)
-            driver = RackDriver(rts, max_concurrent=cap,
-                                sample_interval_ns=50_000.0)
-            stats = driver.run_trace(make_trace(seed=47))
+            session = connect(cluster=cluster, max_concurrent=cap,
+                              sample_interval_ns=50_000.0)
+            stats = session.run_trace(make_trace(seed=47))
             horizon = cluster.engine.now
             results[cap] = {
                 "completed": stats.completed,
@@ -63,7 +62,7 @@ def test_claim_multitenant_rack(benchmark, report):
                 "makespan": stats.mean_makespan,
                 "horizon": horizon,
                 "peak": stats.peak_concurrency,
-                "leaks": len(rts.memory.live_regions()),
+                "leaks": len(session.rts.memory.live_regions()),
             }
         return results
 

@@ -16,6 +16,7 @@ in less simulated time than the full rerun wastes.
 import pytest
 
 from benchmarks.conftest import once
+from repro.api import connect
 from repro.dataflow import Job, RegionUsage, Task, TaskProperties, WorkSpec
 from repro.hardware import Cluster
 from repro.metrics import Table, format_ns
@@ -66,15 +67,17 @@ def build_pipeline(checkpointed: bool, fuse: list):
 
 def run_mode(mode: str):
     cluster = Cluster.preset("pooled-rack", seed=41)
-    rts = RuntimeSystem(cluster)
     fuse = [1]  # one transient fault
     if mode == "none":
+        session = connect(cluster=cluster)
+        handle = session.submit(build_pipeline(False, fuse)())
+        cluster.engine.run(until=handle.settled)
         try:
-            rts.run_job(build_pipeline(False, fuse)())
+            session.result(handle)
             return {"outcome": "completed", "total": cluster.engine.now}
         except RuntimeError:
             return {"outcome": "job lost", "total": cluster.engine.now}
-    resilient = ResilientRuntime(rts, max_attempts=3)
+    resilient = ResilientRuntime(RuntimeSystem(cluster), max_attempts=3)
     checkpointed = mode == "checkpointed retry"
     stats = resilient.run_job(build_pipeline(checkpointed, fuse))
     return {
@@ -153,9 +156,8 @@ def test_claim_resilience_memory_ft_avoids_rerun_entirely(benchmark, report):
 
         # Reference: what a full pipeline rerun costs on the same data.
         cluster2 = Cluster.preset("pooled-rack", seed=43)
-        rts = RuntimeSystem(cluster2)
         fuse: list = []
-        rts.run_job(build_pipeline(False, fuse)())
+        connect(cluster=cluster2).run(build_pipeline(False, fuse)())
         rerun_time = cluster2.engine.now
         return repair_time, rerun_time
 

@@ -9,12 +9,13 @@ criterion: naive placements cost ~2–4x.
 """
 
 from benchmarks.conftest import once
+from repro.api import Session
 from repro.apps import build_query_job
 from repro.hardware import Cluster
 from repro.hardware.spec import MemoryKind
 from repro.memory.regions import RegionType
 from repro.metrics import Table, format_ns
-from repro.runtime import baselines
+from repro.runtime import RackDriver, baselines
 
 PMEM_EVERYWHERE = {rt: MemoryKind.PMEM for rt in RegionType}
 
@@ -29,8 +30,8 @@ def run_variant(name: str):
         rts = baselines.naive(cluster)
     else:  # pragma: no cover
         raise ValueError(name)
-    stats = rts.run_job(build_query_job(n_rows=500_000, selectivity=0.2))
-    return stats
+    session = Session(rts, RackDriver(rts))
+    return session.run(build_query_job(n_rows=500_000, selectivity=0.2))
 
 
 def test_claim_naive_storage_placement(benchmark, report):
@@ -78,7 +79,8 @@ def test_claim_storage_hot_state_dominates(benchmark, report):
         kind_map = {rt: MemoryKind.DRAM for rt in RegionType}
         kind_map[RegionType.PRIVATE_SCRATCH] = kind
         rts = baselines.static(cluster, kind_map=kind_map)
-        return rts.run_job(build_query_job(n_rows=500_000)).makespan
+        session = Session(rts, RackDriver(rts))
+        return session.run(build_query_job(n_rows=500_000)).makespan
 
     def experiment():
         return {

@@ -16,7 +16,8 @@ from repro.apps import build_hospital_job
 from repro.hardware import Cluster
 from repro.hardware.spec import Attachment, ComputeKind
 from repro.metrics import Table, format_ns
-from repro.runtime import baselines
+from repro.api import Session
+from repro.runtime import RackDriver, baselines
 
 KiB = 1024
 
@@ -26,7 +27,7 @@ def run_variant(variant: str, seed: int = 42):
                              trace_categories={"memory"})
     rts = baselines.REGISTRY[variant](cluster)
     job = build_hospital_job(n_frames=64, frame_bytes=128 * KiB)
-    stats = rts.run_job(job)
+    stats = Session(rts, RackDriver(rts)).run(job)
     allocations = [
         (str(e.fields["region"]), str(e.fields["device"]))
         for e in cluster.trace.by_name("allocate")
@@ -98,6 +99,7 @@ def test_fig2_streaming_arrival_rate(benchmark, report):
     there is no drift."""
     cluster = Cluster.preset("pooled-rack", seed=7)
     rts = baselines.declarative(cluster)
+    session = Session(rts, RackDriver(rts))
 
     def experiment():
         makespans = []
@@ -105,7 +107,7 @@ def test_fig2_streaming_arrival_rate(benchmark, report):
             job = build_hospital_job(n_frames=16)
             # Job names must be unique per submission.
             job.name = f"hospital-{i}"
-            makespans.append(rts.run_job(job).makespan)
+            makespans.append(session.run(job).makespan)
         return makespans
 
     makespans = once(benchmark, experiment)

@@ -7,10 +7,10 @@ and throughput — the operating curve of the Figure 2 deployment.
 """
 
 from benchmarks.conftest import once
+from repro.api import connect
 from repro.apps import StreamExecutor, build_hospital_job
 from repro.hardware import Cluster
 from repro.metrics import Table, format_ns
-from repro.runtime import RuntimeSystem
 
 N_WINDOWS = 16
 INTERVAL_NS = 120_000.0
@@ -23,12 +23,12 @@ def template(index: int):
 
 
 def run_config(max_in_flight: int, backpressure: str):
-    rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=89))
-    executor = StreamExecutor(rts, template, max_in_flight=max_in_flight,
+    session = connect(cluster=Cluster.preset("pooled-rack", seed=89))
+    executor = StreamExecutor(session, template, max_in_flight=max_in_flight,
                               backpressure=backpressure)
     stats = executor.run(n_windows=N_WINDOWS, interval_ns=INTERVAL_NS)
-    horizon = rts.cluster.engine.now
-    assert rts.memory.live_regions() == []
+    horizon = session.cluster.engine.now
+    assert session.rts.memory.live_regions() == []
     return stats, horizon
 
 

@@ -15,7 +15,7 @@ from benchmarks.conftest import once
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.hardware import Cluster
 from repro.metrics import Table, format_bytes, format_ns
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 from repro.runtime.transfer import HandoverManager
 
 MiB = 1024 * 1024
@@ -41,12 +41,13 @@ def pipeline(payload: int, tag: str) -> Job:
 
 def run_once(payload: int, force_copy: bool) -> tuple:
     cluster = Cluster.preset("pooled-rack", seed=3)
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
+    rts = session.rts
     if force_copy:
         rts.handover = CopyAlwaysHandover(
             cluster, rts.memory, rts.costmodel, rts.placement
         )
-    stats = rts.run_job(pipeline(payload, "copy" if force_copy else "move"))
+    stats = session.run(pipeline(payload, "copy" if force_copy else "move"))
     return stats.makespan, stats.zero_copy_handover, stats.bytes_copied
 
 
@@ -108,12 +109,13 @@ def test_fig4_fanout_shares_instead_of_copying(benchmark, report):
         outcomes = {}
         for force_copy in (False, True):
             cluster = Cluster.preset("pooled-rack", seed=5)
-            rts = RuntimeSystem(cluster)
+            session = connect(cluster=cluster)
+            rts = session.rts
             if force_copy:
                 rts.handover = CopyAlwaysHandover(
                     cluster, rts.memory, rts.costmodel, rts.placement
                 )
-            stats = rts.run_job(build("copy" if force_copy else "share"))
+            stats = session.run(build("copy" if force_copy else "share"))
             outcomes["copy" if force_copy else "share"] = (
                 stats.makespan, stats.bytes_copied,
             )

@@ -217,10 +217,11 @@ def test_zipf_sampling_throughput(benchmark):
 
 def test_end_to_end_job_rate(benchmark):
     """Whole-runtime throughput: one small job per call."""
-    from repro.runtime import RuntimeSystem
+    from repro.api import connect
 
     cluster = Cluster.preset("pooled-rack", seed=3)
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
+    rts = session.rts
     counter = [0]
 
     def run():
@@ -231,7 +232,7 @@ def test_end_to_end_job_rate(benchmark):
         b = job.add_task(Task("b", work=WorkSpec(
             ops=1e4, input_usage=RegionUsage(0))))
         job.connect(a, b)
-        return rts.run_job(job).ok
+        return session.run(job).ok
 
     assert benchmark(run)
     assert rts.memory.live_regions() == []

@@ -18,7 +18,7 @@ from repro.apps import (
 from repro.hardware import Cluster
 from repro.memory.regions import RegionType
 from repro.metrics import Table, format_ns
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -51,8 +51,8 @@ def test_table3_application_mapping(benchmark, report):
         for app_name, builder in APPS.items():
             cluster = Cluster.preset("pooled-rack",
                                      trace_categories={"memory"})
-            rts = RuntimeSystem(cluster)
-            stats = rts.run_job(builder())
+            session = connect(cluster=cluster)
+            stats = session.run(builder())
             assert stats.ok, app_name
             results[app_name] = (region_census(cluster.trace), stats)
         return results

@@ -11,10 +11,10 @@ landed.
 Run:  python examples/hospital_pipeline.py
 """
 
-from repro import Cluster
+from repro import Cluster, Session
 from repro.apps import build_hospital_job
 from repro.metrics import Table, format_ns
-from repro.runtime import baselines
+from repro.runtime import RackDriver, baselines
 
 KiB = 1024
 
@@ -22,9 +22,10 @@ KiB = 1024
 def run_variant(name: str):
     cluster = Cluster.preset("pooled-rack", seed=42,
                              trace_categories={"memory", "placement"})
+    # A baseline runtime is fronted by the same Session as connect()'s.
     rts = baselines.REGISTRY[name](cluster)
-    job = build_hospital_job(n_frames=64, frame_bytes=128 * KiB)
-    stats = rts.run_job(job)
+    session = Session(rts, RackDriver(rts))
+    stats = session.run(build_hospital_job(n_frames=64, frame_bytes=128 * KiB))
     return cluster, stats
 
 

@@ -1,8 +1,5 @@
 """The one front door: ``connect()`` a rack, ``submit``/``run`` jobs.
 
-Before this module the repo had four divergent submission entry points
-(``RuntimeSystem.submit``/``run_job``/``run_jobs`` and
-``RackDriver.run_trace``), none of which knew about tenants.
 :func:`connect` builds the whole stack — cluster preset, runtime
 system, QoS admission — and returns a :class:`Session` whose
 ``submit``/``run`` are the supported way in.  Everything lands in the
@@ -20,8 +17,12 @@ and preemption apply uniformly::
     stats = session.run()                          # drive to completion
     print(session.dashboard())
 
-The old entry points keep working behind once-per-process
-``DeprecationWarning`` shims (see :mod:`repro._compat`).
+There is no other way in: the runtime system and the app drivers
+(``LinearTrainer``, ``JacobiSolver``, ``PhysicalQueryEngine``,
+``StreamExecutor``, ``LLMEngine``) take a :class:`Session`, never a
+bare :class:`~repro.runtime.rts.RuntimeSystem`.  A runtime built by
+hand (extra options, a baseline stack) is fronted by
+``Session(rts, RackDriver(rts, ...))``.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ from repro.dataflow.workspec import RegionUsage, WorkSpec
 from repro.hardware.spec import ComputeKind, OpClass
 from repro.memory.interfaces import AccessPattern
 from repro.memory.properties import LatencyClass
-from repro.runtime.rts import JobStats, RuntimeSystem
-from repro.apps import _session
+from repro.api import Session
+from repro.runtime.rts import JobStats
 
 KiB = 1024
 
@@ -106,12 +106,16 @@ def _nbytes(value) -> int:
 
 
 class PhysicalQueryEngine:
-    """Compiles plans to jobs and runs them on a RuntimeSystem."""
+    """Compiles plans to jobs and runs them through a Session."""
 
-    def __init__(self, session=None, rts: typing.Optional[RuntimeSystem] = None):
-        self.session, self.rts = _session.resolve(
-            "PhysicalQueryEngine", session, rts,
-        )
+    def __init__(self, session: Session):
+        if not isinstance(session, Session):
+            raise TypeError(
+                "PhysicalQueryEngine needs a Session from "
+                f"repro.api.connect(...), got {type(session).__name__}"
+            )
+        self.session = session
+        self.rts = session.rts
         self.db = MiniDB()
         self._query_counter = 0
 
@@ -150,7 +154,9 @@ class PhysicalQueryEngine:
     def execute(self, plan: PlanNode) -> typing.Tuple[object, JobStats]:
         """Compile, run, and return (real result, simulated stats)."""
         job, results = self.compile(plan)
-        stats = _session.run_job(self.session, self.rts, job)
+        stats = self.session.run(job)
+        if stats is None:
+            raise RuntimeError(f"job {job.name!r} was shed by admission")
         return results["__root__"], stats
 
     # -- operator tasks ------------------------------------------------------

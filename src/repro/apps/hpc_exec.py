@@ -28,8 +28,8 @@ from repro.dataflow.workspec import RegionUsage, WorkSpec
 from repro.hardware.spec import ComputeKind, OpClass
 from repro.memory.interfaces import AccessPattern
 from repro.memory.properties import LatencyClass
-from repro.runtime.rts import JobStats, RuntimeSystem
-from repro.apps import _session
+from repro.api import Session
+from repro.runtime.rts import JobStats
 
 KiB = 1024
 
@@ -57,15 +57,20 @@ class JacobiSolver:
 
     def __init__(
         self,
-        session=None,
+        session: Session,
         n_workers: int = 4,
         iterations: int = 10,
         tolerance: float = 1e-4,
-        rts: typing.Optional[RuntimeSystem] = None,
     ):
         if n_workers < 1 or iterations < 1 or tolerance <= 0:
             raise ValueError("invalid solver parameters")
-        self.session, self.rts = _session.resolve("JacobiSolver", session, rts)
+        if not isinstance(session, Session):
+            raise TypeError(
+                "JacobiSolver needs a Session from repro.api.connect(...), "
+                f"got {type(session).__name__}"
+            )
+        self.session = session
+        self.rts = session.rts
         self.n_workers = n_workers
         self.iterations = iterations
         self.tolerance = tolerance
@@ -184,7 +189,9 @@ class JacobiSolver:
             previous = barrier
 
         job.validate()
-        stats = _session.run_job(self.session, self.rts, job)
+        stats = self.session.run(job)
+        if stats is None:
+            raise RuntimeError(f"job {job.name!r} was shed by admission")
         return SolveResult(
             field=state["grid"],
             residuals=state["residuals"],

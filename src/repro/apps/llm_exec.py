@@ -35,13 +35,12 @@ import collections
 import dataclasses
 import typing
 
-from repro.apps import _session
+from repro.api import Session
 from repro.apps.llm import DECODE_POOL, PrefixTrie, build_request_job
 from repro.memory.manager import PlacementError
 from repro.memory.regions import RegionType, region_properties
 from repro.memory.sharing import SharedRegionCache, SharedRegionError
 from repro.runtime.placement import PlacementRequest
-from repro.runtime.rts import RuntimeSystem
 from repro.workloads.llm import LLMRequest
 
 KiB = 1024
@@ -182,7 +181,7 @@ class LLMEngine:
 
     def __init__(
         self,
-        session=None,
+        session: Session,
         *,
         disaggregate: bool = True,
         prefix_caching: bool = True,
@@ -190,13 +189,18 @@ class LLMEngine:
         kv_bytes_per_token: int = 2 * KiB,
         weight_bytes: int = 4 * MiB,
         ops_per_token: float = 4_000.0,
-        rts: typing.Optional[RuntimeSystem] = None,
     ):
         if kv_bytes_per_token < 1 or weight_bytes < 1 or ops_per_token <= 0:
             raise ValueError("invalid model-cost parameters")
         if prefix_capacity_blocks is not None and prefix_capacity_blocks < 1:
             raise ValueError("prefix_capacity_blocks must be >= 1 or None")
-        self.session, self.rts = _session.resolve("LLMEngine", session, rts)
+        if not isinstance(session, Session):
+            raise TypeError(
+                "LLMEngine needs a Session from repro.api.connect(...), "
+                f"got {type(session).__name__}"
+            )
+        self.session = session
+        self.rts = session.rts
         self.disaggregate = disaggregate
         self.prefix_caching = prefix_caching
         self.prefix_capacity_blocks = prefix_capacity_blocks
@@ -313,12 +317,11 @@ class LLMEngine:
         for key in acquired:
             self.cache.release(key, record.request.name)
         acquired.clear()
-        record.shed = bool(admitted is not None and admitted.shed)
+        record.shed = admitted.shed
         if record.shed:
             return
-        stats = None
-        if admitted is not None and admitted.execution is not None:
-            stats = admitted.execution.stats
+        execution = admitted.execution
+        stats = execution.stats if execution is not None else None
         if stats is None or not stats.ok:
             record.failed = True
             record.finished_at = engine.now
@@ -363,8 +366,7 @@ class LLMEngine:
         independent of completions — the tail-latency-honest setup);
         ``mode="closed"`` ignores them and keeps ``concurrency``
         requests in flight.  Requests go through the session's QoS
-        admission under their own tenants; without a session (the
-        deprecated bare-``rts`` spelling) they bypass admission.
+        admission under their own tenants.
         """
         if mode not in ("open", "closed"):
             raise ValueError(f"unknown serve mode {mode!r}")
@@ -388,28 +390,14 @@ class LLMEngine:
             records.append(record)
             state["dispatched"] += 1
             acquired: typing.List[tuple] = []
-            if self.session is not None:
-                admitted = self.session.driver.submit_job(
-                    req.name,
-                    lambda: self._materialize(req, record, acquired),
-                    tenant=req.tenant,
-                )
-                admitted.settled.add_callback(
-                    lambda event: finish(record, acquired, admitted)
-                )
-            else:
-                execution = self.rts._submit(
-                    self._materialize(req, record, acquired)
-                )
-                execution.done.add_callback(
-                    lambda event: finish_legacy(record, acquired, execution,
-                                                event)
-                )
-
-        def finish_legacy(record, acquired, execution, event):
-            if not event._ok:
-                event.defuse()
-            finish(record, acquired, _LegacyHandle(execution))
+            admitted = self.session.driver.submit_job(
+                req.name,
+                lambda: self._materialize(req, record, acquired),
+                tenant=req.tenant,
+            )
+            admitted.settled.add_callback(
+                lambda event: finish(record, acquired, admitted)
+            )
 
         def finish(record, acquired, admitted):
             self._settle(record, acquired, admitted)
@@ -439,10 +427,7 @@ class LLMEngine:
             while pending and state["dispatched"] - state["settled"] < concurrency:
                 dispatch(pending.popleft())
 
-        interval = (
-            self.session.driver.sample_interval_ns
-            if self.session is not None else 100_000.0
-        )
+        interval = self.session.driver.sample_interval_ns
         sampling = {"on": telem is not None}
         if sampling["on"]:
             def sampler():
@@ -488,15 +473,6 @@ class LLMEngine:
         freed = self.cache.drain()
         self.trie = PrefixTrie()
         return freed
-
-
-class _LegacyHandle:
-    """Adapter so ``_settle`` can read a bare execution like a handle."""
-
-    shed = False
-
-    def __init__(self, execution):
-        self.execution = execution
 
 
 __all__ = ["LLMEngine", "RequestRecord", "ServeResult"]

@@ -29,8 +29,8 @@ from repro.dataflow.workspec import RegionUsage, WorkSpec
 from repro.hardware.spec import ComputeKind, OpClass
 from repro.memory.interfaces import AccessPattern
 from repro.memory.properties import LatencyClass
-from repro.runtime.rts import JobStats, RuntimeSystem
-from repro.apps import _session
+from repro.api import Session
+from repro.runtime.rts import JobStats
 
 KiB = 1024
 
@@ -54,16 +54,21 @@ class LinearTrainer:
 
     def __init__(
         self,
-        session=None,
+        session: Session,
         epochs: int = 5,
         batch_size: int = 256,
         learning_rate: float = 0.05,
         accelerator: ComputeKind = ComputeKind.GPU,
-        rts: typing.Optional[RuntimeSystem] = None,
     ):
         if epochs < 1 or batch_size < 1 or learning_rate <= 0:
             raise ValueError("invalid training hyperparameters")
-        self.session, self.rts = _session.resolve("LinearTrainer", session, rts)
+        if not isinstance(session, Session):
+            raise TypeError(
+                "LinearTrainer needs a Session from repro.api.connect(...), "
+                f"got {type(session).__name__}"
+            )
+        self.session = session
+        self.rts = session.rts
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate
@@ -193,7 +198,9 @@ class LinearTrainer:
         job.connect(previous, evaluate)
         job.validate()
 
-        stats = _session.run_job(self.session, self.rts, job)
+        stats = self.session.run(job)
+        if stats is None:
+            raise RuntimeError(f"job {job.name!r} was shed by admission")
         return TrainingResult(
             weights=state["w"], bias=state["b"],
             loss_per_epoch=loss_per_epoch,

@@ -16,8 +16,7 @@ import dataclasses
 import typing
 
 from repro.dataflow.graph import Job
-from repro.runtime.rts import RuntimeSystem
-from repro.apps import _session
+from repro.api import Session
 
 
 @dataclasses.dataclass
@@ -81,21 +80,22 @@ class StreamExecutor:
 
     def __init__(
         self,
-        session=None,
-        template: typing.Optional[typing.Callable[[int], Job]] = None,
+        session: Session,
+        template: typing.Callable[[int], Job],
         max_in_flight: int = 2,
         backpressure: str = "queue",
-        rts: typing.Optional[RuntimeSystem] = None,
     ):
-        if template is None:
-            raise TypeError("StreamExecutor needs a template callable")
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if backpressure not in ("queue", "drop"):
             raise ValueError(f"unknown backpressure policy {backpressure!r}")
-        self.session, self.rts = _session.resolve(
-            "StreamExecutor", session, rts,
-        )
+        if not isinstance(session, Session):
+            raise TypeError(
+                "StreamExecutor needs a Session from repro.api.connect(...), "
+                f"got {type(session).__name__}"
+            )
+        self.session = session
+        self.rts = session.rts
         self.template = template
         self.max_in_flight = max_in_flight
         self.backpressure = backpressure
@@ -109,14 +109,8 @@ class StreamExecutor:
         engine = self.rts.cluster.engine
         record.started_at = engine.now
         self._in_flight += 1
-        if self.session is not None:
-            admitted = self.session.submit(self.template(record.index))
-            self._track(record, admitted)
-            return
-        execution = self.rts._submit(self.template(record.index))
-        execution.done.add_callback(
-            lambda event, rec=record: self._on_done(rec, event)
-        )
+        admitted = self.session.submit(self.template(record.index))
+        self._track(record, admitted)
 
     def _track(self, record: WindowRecord, admitted) -> None:
         """Settle the window when admission is done with its job.
@@ -137,11 +131,6 @@ class StreamExecutor:
             record.dropped = True
         while self._queue and self._in_flight < self.max_in_flight:
             self._launch(self._queue.pop(0))
-
-    def _on_done(self, record: WindowRecord, event) -> None:
-        if not event._ok:
-            event.defuse()
-        self._settle(record, ok=event._ok)
 
     def _on_arrival(self, record: WindowRecord) -> None:
         self.stats.windows.append(record)

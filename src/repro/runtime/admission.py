@@ -33,7 +33,6 @@ from repro.runtime.tenancy import (
 )
 from repro.sim.events import Event
 from repro.sim.trace import MetricRecorder
-from repro import _compat
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataflow.graph import Job
@@ -601,16 +600,6 @@ class RackDriver:
         return admitted
 
     # -- trace execution ---------------------------------------------------
-
-    def run_trace(self, arrivals) -> RackStats:
-        """Deprecated: use ``repro.api.Session.run_trace`` instead."""
-        _compat.warn_once(
-            "RackDriver.run_trace",
-            "repro.RackDriver.run_trace() is deprecated; use "
-            "repro.api.connect(...).run_trace(arrivals) (the Session "
-            "facade)",
-        )
-        return self._run_trace(arrivals)
 
     def _run_trace(
         self,

@@ -42,7 +42,6 @@ from repro.runtime.scheduler import HeftScheduler, Scheduler
 from repro.runtime.tenancy import DEFAULT_TENANT, Preempted, coerce_priority
 from repro.runtime.transfer import HandoverManager
 from repro.sim.events import Event, Interrupt
-from repro import _compat
 
 
 class TaskFailure(Exception):
@@ -1724,16 +1723,6 @@ class RuntimeSystem:
         self.executions.append(execution)
         return execution
 
-    def submit(self, job: Job) -> _JobExecution:
-        """Deprecated: submit through ``repro.api.Session`` instead."""
-        _compat.warn_once(
-            "RuntimeSystem.submit",
-            "repro.RuntimeSystem.submit() is deprecated; use "
-            "repro.api.connect(...).submit(job) so admission, tenancy, "
-            "and QoS apply",
-        )
-        return self._submit(job)
-
     def plan(self, job: Job):
         """Dry-run: the assignment, placements, and makespan the runtime
         *would* produce for ``job`` — no allocation, no execution.  See
@@ -1741,30 +1730,3 @@ class RuntimeSystem:
         from repro.runtime.planner import plan_job
 
         return plan_job(self, job)
-
-    def run(self, until: typing.Optional[float] = None) -> None:
-        """Advance the simulation (until a time, or until idle)."""
-        self.cluster.engine.run(until=until)
-
-    def run_job(self, job: Job) -> JobStats:
-        """Deprecated: use ``repro.api.Session.run(job)`` instead."""
-        _compat.warn_once(
-            "RuntimeSystem.run_job",
-            "repro.RuntimeSystem.run_job() is deprecated; use "
-            "repro.api.connect(...).run(job) (the Session facade)",
-        )
-        execution = self._submit(job)
-        return self.cluster.engine.run(until=execution.done)
-
-    def run_jobs(self, jobs: typing.Sequence[Job]) -> typing.List[JobStats]:
-        """Deprecated: use ``repro.api.Session.run(*jobs)`` instead."""
-        _compat.warn_once(
-            "RuntimeSystem.run_jobs",
-            "repro.RuntimeSystem.run_jobs() is deprecated; use "
-            "repro.api.connect(...).run(*jobs) (the Session facade)",
-        )
-        executions = [self._submit(job) for job in jobs]
-        self.cluster.engine.run(until=self.cluster.engine.all_of(
-            [e.done for e in executions]
-        ))
-        return [e.stats for e in executions]

@@ -14,7 +14,7 @@ from repro.apps import (
 from repro.hardware import Cluster
 from repro.hardware.spec import ComputeKind
 from repro.memory.regions import RegionType
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 from repro.workloads import synthetic_table
 
 KiB = 1024
@@ -22,8 +22,8 @@ MiB = 1024 * KiB
 
 
 @pytest.fixture
-def rts():
-    return RuntimeSystem(Cluster.preset("pooled-rack"))
+def session():
+    return connect(cluster=Cluster.preset("pooled-rack"))
 
 
 class TestHospitalJob:
@@ -47,12 +47,12 @@ class TestHospitalJob:
         assert t["alert_caregivers"].properties.persistent
         assert t["alert_caregivers"].properties.confidential
 
-    def test_runs_end_to_end(self, rts):
-        stats = rts.run_job(build_hospital_job(n_frames=16))
+    def test_runs_end_to_end(self, session):
+        stats = session.run(build_hospital_job(n_frames=16))
         assert stats.ok
-        assert rts.cluster.compute[stats.assignment["preprocessing"]].kind is ComputeKind.GPU
-        assert rts.cluster.compute[stats.assignment["track_hours"]].kind is ComputeKind.CPU
-        assert rts.memory.live_regions() == []
+        assert session.cluster.compute[stats.assignment["preprocessing"]].kind is ComputeKind.GPU
+        assert session.cluster.compute[stats.assignment["track_hours"]].kind is ComputeKind.CPU
+        assert session.rts.memory.live_regions() == []
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -66,10 +66,10 @@ class TestQueryJob:
         assert order.index("scan") < order.index("filter") < order.index("aggregate")
         assert order.index("aggregate") < order.index("join-probe")
 
-    def test_runs_and_uses_table3_regions(self, rts):
-        stats = rts.run_job(build_query_job(n_rows=100_000))
+    def test_runs_and_uses_table3_regions(self, session):
+        stats = session.run(build_query_job(n_rows=100_000))
         assert stats.ok
-        census = region_census(rts.cluster.trace)
+        census = region_census(session.cluster.trace)
         # Table 3 row 'DBMS': operator state in private scratch, latches
         # in global state, the hash index in global scratch.
         assert census.get(RegionType.PRIVATE_SCRATCH, 0) >= 2
@@ -129,24 +129,24 @@ class TestTrainingJob:
         assert order.index("train-epoch0") < order.index("train-epoch1")
         assert order[-1] == "checkpoint"
 
-    def test_runs_with_cachew_region_mix(self, rts):
-        stats = rts.run_job(build_training_job(
+    def test_runs_with_cachew_region_mix(self, session):
+        stats = session.run(build_training_job(
             n_samples=10_000, model_bytes=4 * MiB, epochs=2,
         ))
         assert stats.ok
         # Training epochs must land on the requested accelerator class.
-        assert rts.cluster.compute[stats.assignment["train-epoch0"]].kind is ComputeKind.GPU
-        census = region_census(rts.cluster.trace)
+        assert session.cluster.compute[stats.assignment["train-epoch0"]].kind is ComputeKind.GPU
+        census = region_census(session.cluster.trace)
         assert census.get(RegionType.GLOBAL_SCRATCH, 0) >= 1  # transformed cache
         assert census.get(RegionType.GLOBAL_STATE, 0) >= 1  # dispatcher state
 
-    def test_tpu_variant(self, rts):
+    def test_tpu_variant(self, session):
         job = build_training_job(
             n_samples=5_000, model_bytes=2 * MiB, epochs=1,
             accelerator=ComputeKind.TPU,
         )
-        stats = rts.run_job(job)
-        assert rts.cluster.compute[stats.assignment["train-epoch0"]].kind is ComputeKind.TPU
+        stats = session.run(job)
+        assert session.cluster.compute[stats.assignment["train-epoch0"]].kind is ComputeKind.TPU
 
     def test_epoch_validation(self):
         with pytest.raises(ValueError):
@@ -161,15 +161,15 @@ class TestStencilJob:
         barriers = [n for n in job.tasks if n.startswith("barrier")]
         assert len(barriers) == 2
 
-    def test_runs_end_to_end(self, rts):
-        stats = rts.run_job(build_stencil_job(
+    def test_runs_end_to_end(self, session):
+        stats = session.run(build_stencil_job(
             n_workers=3, grid_bytes=8 * MiB, iterations=2,
         ))
         assert stats.ok
-        assert rts.memory.live_regions() == []
+        assert session.rts.memory.live_regions() == []
 
-    def test_workers_parallel_within_iteration(self, rts):
-        stats = rts.run_job(build_stencil_job(
+    def test_workers_parallel_within_iteration(self, session):
+        stats = session.run(build_stencil_job(
             n_workers=4, grid_bytes=32 * MiB, iterations=1,
         ))
         workers = [s for name, s in stats.tasks.items() if name.startswith("worker")]

@@ -12,14 +12,14 @@ from repro.apps.dbms_exec import (
     Scan,
 )
 from repro.hardware import Cluster
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 from repro.workloads import synthetic_table
 
 
 @pytest.fixture
 def engine():
-    rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=61))
-    physical = PhysicalQueryEngine(rts)
+    session = connect(cluster=Cluster.preset("pooled-rack", seed=61))
+    physical = PhysicalQueryEngine(session)
     rng = np.random.default_rng(0)
     physical.register_table("orders", synthetic_table(rng, 20_000, key_cardinality=50))
     physical.register_table("customers", synthetic_table(rng, 500, key_cardinality=50))
@@ -82,8 +82,8 @@ class TestPhysicalBehaviour:
         simulated time — the physical half is not decorative."""
         times = {}
         for rows in (5_000, 50_000):
-            rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=62))
-            physical = PhysicalQueryEngine(rts)
+            session = connect(cluster=Cluster.preset("pooled-rack", seed=62))
+            physical = PhysicalQueryEngine(session)
             rng = np.random.default_rng(1)
             physical.register_table(
                 "t", synthetic_table(rng, rows, key_cardinality=64))
@@ -98,8 +98,8 @@ class TestPhysicalBehaviour:
         filter — physical costs follow the *actual* intermediate sizes."""
         group_times = {}
         for threshold, tag in ((1, "selective"), (58, "permissive")):
-            rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=63))
-            physical = PhysicalQueryEngine(rts)
+            session = connect(cluster=Cluster.preset("pooled-rack", seed=63))
+            physical = PhysicalQueryEngine(session)
             rng = np.random.default_rng(2)
             physical.register_table(
                 "t", synthetic_table(rng, 50_000, key_cardinality=64))

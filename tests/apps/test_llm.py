@@ -11,7 +11,7 @@ from repro.apps.llm import (
 )
 from repro.hardware import Cluster
 from repro.hardware.spec import ComputeKind
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 
 class TestRequestJob:
@@ -77,8 +77,7 @@ class TestPdPools:
     def test_phases_land_in_their_pools(self):
         cluster = Cluster.preset("pooled-rack", seed=3)
         define_pd_pools(cluster)
-        rts = RuntimeSystem(cluster)
-        stats = rts.run_job(build_request_job(128, 8))
+        stats = connect(cluster=cluster).run(build_request_job(128, 8))
         assert stats.ok
         assert stats.assignment["prefill"] == "gpu1"
         assert stats.assignment["decode"] == "gpu2"
@@ -86,8 +85,7 @@ class TestPdPools:
     def test_undefined_pools_do_not_constrain(self):
         # Pool-annotated jobs still run on clusters without the split.
         cluster = Cluster.preset("pooled-rack", seed=3)
-        rts = RuntimeSystem(cluster)
-        stats = rts.run_job(build_request_job(128, 8))
+        stats = connect(cluster=cluster).run(build_request_job(128, 8))
         assert stats.ok
 
 

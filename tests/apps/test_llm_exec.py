@@ -5,8 +5,6 @@ import pytest
 from repro import connect
 from repro.apps.llm import define_pd_pools
 from repro.apps.llm_exec import LLMEngine
-from repro.hardware import Cluster
-from repro.runtime import RuntimeSystem
 from repro.workloads import llm_request_stream
 
 
@@ -162,19 +160,3 @@ class TestOwnershipTransfer:
         assert transfers >= 6  # one P->D move per request
         assert result.kv_bytes_moved == 0
 
-
-class TestLegacyPath:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_registry(self):
-        from repro import _compat
-        _compat.reset_warnings()
-        yield
-        _compat.reset_warnings()
-
-    def test_bare_rts_spelling_warns_and_serves(self):
-        rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=11))
-        with pytest.warns(DeprecationWarning, match="^repro\\."):
-            engine = LLMEngine(rts)
-        result = engine.serve(stream(6))
-        assert result.completed == 6
-        assert result.leaked == {}

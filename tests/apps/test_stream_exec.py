@@ -6,7 +6,6 @@ from repro import TenantQuota, connect
 from repro.apps import build_hospital_job
 from repro.apps.stream_exec import StreamExecutor, StreamStats, WindowRecord
 from repro.hardware import Cluster
-from repro.runtime import RuntimeSystem
 
 KiB = 1024
 
@@ -18,40 +17,40 @@ def hospital_template(index: int):
 
 
 @pytest.fixture
-def rts():
-    return RuntimeSystem(Cluster.preset("pooled-rack", seed=83))
+def session():
+    return connect(cluster=Cluster.preset("pooled-rack", seed=83))
 
 
 class TestStreamExecutor:
-    def test_all_windows_complete_with_queueing(self, rts):
-        executor = StreamExecutor(rts, hospital_template, max_in_flight=2)
+    def test_all_windows_complete_with_queueing(self, session):
+        executor = StreamExecutor(session, hospital_template, max_in_flight=2)
         stats = executor.run(n_windows=10, interval_ns=50_000.0)
         assert stats.completed == 10
         assert stats.dropped == 0
-        assert rts.memory.live_regions() == []
+        assert session.rts.memory.live_regions() == []
 
     def test_pipelining_beats_serial_throughput(self):
         horizons = {}
         for in_flight in (1, 3):
-            rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=84))
+            session = connect(cluster=Cluster.preset("pooled-rack", seed=84))
             executor = StreamExecutor(
-                rts, hospital_template, max_in_flight=in_flight)
+                session, hospital_template, max_in_flight=in_flight)
             executor.run(n_windows=8, interval_ns=10_000.0)
-            horizons[in_flight] = rts.cluster.engine.now
+            horizons[in_flight] = session.cluster.engine.now
         assert horizons[3] < horizons[1]
 
-    def test_queue_policy_latency_grows_under_overload(self, rts):
+    def test_queue_policy_latency_grows_under_overload(self, session):
         """Arrivals faster than service: queued windows wait longer and
         longer — the textbook backpressure signature."""
-        executor = StreamExecutor(rts, hospital_template, max_in_flight=1,
+        executor = StreamExecutor(session, hospital_template, max_in_flight=1,
                                   backpressure="queue")
         stats = executor.run(n_windows=8, interval_ns=20_000.0)
         assert stats.completed == 8
         latencies = [w.latency for w in stats.windows]
         assert latencies[-1] > latencies[0] * 2
 
-    def test_drop_policy_bounds_latency(self, rts):
-        executor = StreamExecutor(rts, hospital_template, max_in_flight=1,
+    def test_drop_policy_bounds_latency(self, session):
+        executor = StreamExecutor(session, hospital_template, max_in_flight=1,
                                   backpressure="drop")
         stats = executor.run(n_windows=12, interval_ns=20_000.0)
         assert stats.dropped > 0
@@ -59,7 +58,7 @@ class TestStreamExecutor:
         # Completed windows never waited in a queue.
         max_latency = max(w.latency for w in stats.windows if w.completed)
         queueing = StreamExecutor(
-            RuntimeSystem(Cluster.preset("pooled-rack", seed=83)),
+            connect(cluster=Cluster.preset("pooled-rack", seed=83)),
             hospital_template, max_in_flight=1, backpressure="queue")
         q_stats = queueing.run(n_windows=12, interval_ns=20_000.0)
         assert max_latency < max(w.latency for w in q_stats.windows if w.completed)
@@ -110,11 +109,11 @@ class TestStreamExecutor:
         assert stats.percentile(50) == 0.0
         assert stats.throughput_per_s(1e9) == 0.0
 
-    def test_validation(self, rts):
+    def test_validation(self, session):
         with pytest.raises(ValueError):
-            StreamExecutor(rts, hospital_template, max_in_flight=0)
+            StreamExecutor(session, hospital_template, max_in_flight=0)
         with pytest.raises(ValueError):
-            StreamExecutor(rts, hospital_template, backpressure="explode")
-        executor = StreamExecutor(rts, hospital_template)
+            StreamExecutor(session, hospital_template, backpressure="explode")
+        executor = StreamExecutor(session, hospital_template)
         with pytest.raises(ValueError):
             executor.run(n_windows=0, interval_ns=100.0)

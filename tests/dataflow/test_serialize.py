@@ -12,7 +12,7 @@ from repro.dataflow.serialize import (
     job_to_json,
 )
 from repro.hardware import Cluster
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 
 def assert_jobs_equal(a: Job, b: Job) -> None:
@@ -39,8 +39,8 @@ class TestRoundTrip:
     def test_restored_job_runs_identically(self):
         """A deserialized job produces the same simulated schedule."""
         def run(job):
-            rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=97))
-            stats = rts.run_job(job)
+            session = connect(cluster=Cluster.preset("pooled-rack", seed=97))
+            stats = session.run(job)
             return [(n, s.device, s.started_at, s.finished_at)
                     for n, s in sorted(stats.tasks.items())]
 

@@ -7,6 +7,7 @@ reviewer can read the paper and this file side by side.
 
 import pytest
 
+from repro.api import connect
 from repro.dataflow import Job, RegionUsage, Task, TaskProperties, WorkSpec
 from repro.hardware import Cluster
 from repro.hardware.spec import ComputeKind, MemoryKind, OpClass
@@ -19,7 +20,6 @@ from repro.runtime import (
     CostModel,
     DeclarativePlacement,
     PlacementRequest,
-    RuntimeSystem,
 )
 
 KiB = 1024
@@ -137,7 +137,8 @@ class TestSection23:
         Memory Regions ..., (3) de-allocat[es] ... after the last owning
         task finishes, (4) and resource-aware task scheduling.' (§2.3)"""
         cluster = Cluster.preset("pooled-rack", trace_categories={"memory"})
-        rts = RuntimeSystem(cluster)
+        session = connect(cluster=cluster)
+        rts = session.rts
         job = Job("duties", global_state_size=64 * KiB)
         a = job.add_task(Task("a", work=WorkSpec(
             ops=1e5, output=RegionUsage(4 * MiB),
@@ -145,7 +146,7 @@ class TestSection23:
         b = job.add_task(Task("b", work=WorkSpec(
             op_class=OpClass.MATMUL, ops=1e6, input_usage=RegionUsage(0))))
         job.connect(a, b)
-        stats = rts.run_job(job)
+        stats = session.run(job)
         # (1)+(2): regions were matched and allocated.
         assert stats.regions_allocated >= 3
         # (3): all freed after the last owner finished.
@@ -158,27 +159,27 @@ class TestSection23:
         """'the output memory of the preceding task can directly become
         the input memory of the next task if it is addressable by the
         compute devices of both tasks' (§2.3)"""
-        rts = RuntimeSystem(Cluster.preset("pooled-rack"))
+        session = connect(cluster=Cluster.preset("pooled-rack"))
         job = Job("move")
         a = job.add_task(Task("a", work=WorkSpec(
             ops=1e4, output=RegionUsage(8 * MiB))))
         b = job.add_task(Task("b", work=WorkSpec(
             ops=1e4, input_usage=RegionUsage(0))))
         job.connect(a, b)
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.zero_copy_handover == 1
         assert stats.bytes_copied == 0
 
     def test_global_scratch_passes_data_between_unconnected_tasks(self):
         """'Global Scratch can pass data between tasks that are not
         connected ... (such as a bloom filter)' (§2.3)"""
-        rts = RuntimeSystem(Cluster.preset("pooled-rack"))
+        session = connect(cluster=Cluster.preset("pooled-rack"))
         job = Job("bloom")
         job.add_task(Task("builder", work=WorkSpec(
             ops=1e4, scratch_puts={"bloom": RegionUsage(64 * KiB)})))
         job.add_task(Task("prober", work=WorkSpec(
             ops=1e4, scratch_gets=("bloom",))))
-        assert rts.run_job(job).ok  # no edge between the two tasks
+        assert session.run(job).ok  # no edge between the two tasks
 
 
 class TestSection3:

@@ -20,7 +20,7 @@ from repro.hardware import Cluster
 from repro.hardware.spec import ComputeKind, OpClass
 from repro.memory.interfaces import AccessPattern
 from repro.memory.properties import LatencyClass
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -91,8 +91,9 @@ class TestRandomJobs:
     @given(job=random_job(), seed=st.integers(0, 100))
     def test_runtime_invariants_hold(self, job, seed):
         cluster = Cluster.preset("pooled-rack", seed=seed)
-        rts = RuntimeSystem(cluster)
-        stats = rts.run_job(job)
+        session = connect(cluster=cluster)
+        rts = session.rts
+        stats = session.run(job)
 
         # 1. Completion: every task ran exactly once, successfully.
         assert stats.ok
@@ -136,14 +137,14 @@ class TestRandomJobs:
             import copy
 
             cluster = Cluster.preset("pooled-rack", seed=seed)
-            rts = RuntimeSystem(cluster)
+            session = connect(cluster=cluster)
             job_copy = Job(job.name, global_state_size=job.global_state_size)
             for t in job.topological_order():
                 job_copy.add_task(Task(t.name, work=t.work,
                                        properties=t.properties))
             for u, v in job.graph.edges:
                 job_copy.connect(u, v)
-            stats = rts.run_job(job_copy)
+            stats = session.run(job_copy)
             return [
                 (name, s.device, s.started_at, s.finished_at)
                 for name, s in sorted(stats.tasks.items())

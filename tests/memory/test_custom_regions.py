@@ -13,7 +13,7 @@ from repro.memory.regions import (
     lookup_region_type,
     region_properties,
 )
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -58,7 +58,8 @@ class TestTaskContextRequest:
     def test_task_requests_named_region(self):
         cluster = Cluster.preset("pooled-rack", seed=127,
                                  trace_categories={"memory"})
-        rts = RuntimeSystem(cluster)
+        session = connect(cluster=cluster)
+        rts = session.rts
         model_state = define_region_type("model-state-2", MODEL_STATE)
         seen = {}
 
@@ -72,7 +73,7 @@ class TestTaskContextRequest:
                 ctx.compute, handle.region.device)
             yield from ctx.write(handle)
 
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.ok
         # The named bundle's properties were honored from the task's view.
         assert seen["offer"].satisfies(MODEL_STATE)
@@ -84,7 +85,8 @@ class TestTaskContextRequest:
 
     def test_request_by_string_and_predefined(self):
         cluster = Cluster.preset("pooled-rack", seed=128)
-        rts = RuntimeSystem(cluster)
+        session = connect(cluster=cluster)
+        rts = session.rts
         define_region_type("blob-cache", MemoryProperties(
             latency=LatencyClass.HIGH, bandwidth=BandwidthClass.LOW))
 
@@ -97,7 +99,7 @@ class TestTaskContextRequest:
             yield from ctx.write(blob, nbytes=1 * MiB)
             yield from ctx.write(state, nbytes=4 * KiB)
 
-        assert rts.run_job(job).ok
+        assert session.run(job).ok
         assert rts.memory.live_regions() == []
 
     def test_confidential_card_propagates_to_requests(self):
@@ -105,7 +107,8 @@ class TestTaskContextRequest:
         from repro.hardware.spec import Attachment
 
         cluster = Cluster.preset("pooled-rack", seed=129)
-        rts = RuntimeSystem(cluster)
+        session = connect(cluster=cluster)
+        rts = session.rts
         define_region_type("staging-q", MemoryProperties())
         placed = []
         original = rts.placement.place
@@ -122,7 +125,7 @@ class TestTaskContextRequest:
             properties=TaskProperties(confidential=True),
             fn=lambda ctx: (yield from _use_staging(ctx)),
         ))
-        assert rts.run_job(job).ok
+        assert session.run(job).ok
         staging = [r for r in placed if "staging-q" in r.name]
         assert staging
         assert all(

@@ -8,7 +8,7 @@ from repro.metrics.energy import (
     EnergyMeter,
     provisioned_memory_power,
 )
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -16,13 +16,13 @@ GiB = 1024 * MiB
 
 
 def run_pipeline(cluster, payload=16 * MiB):
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
     job = Job("energy-probe")
     a = job.add_task(Task("a", work=WorkSpec(ops=1e5, output=RegionUsage(payload))))
     b = job.add_task(Task("b", work=WorkSpec(
         ops=1e6, input_usage=RegionUsage(0, touches=1.0))))
     job.connect(a, b)
-    return rts.run_job(job)
+    return session.run(job)
 
 
 class TestEnergyMeter:

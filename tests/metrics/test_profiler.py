@@ -6,7 +6,7 @@ from repro.apps import build_hospital_job
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.hardware import Cluster
 from repro.metrics import Profile
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -16,7 +16,7 @@ MiB = 1024 * KiB
 def profiled_run():
     cluster = Cluster.preset("pooled-rack",
                              trace_categories={"profile", "memory"})
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
     job = Job("profiled")
     a = job.add_task(Task("produce", work=WorkSpec(
         ops=1e6, output=RegionUsage(16 * MiB))))
@@ -24,7 +24,7 @@ def profiled_run():
         ops=5e6, input_usage=RegionUsage(0, touches=1.0),
         scratch=RegionUsage(4 * MiB, touches=3.0))))
     job.connect(a, b)
-    stats = rts.run_job(job)
+    stats = session.run(job)
     return cluster, stats
 
 
@@ -118,13 +118,13 @@ class TestProfile:
         """Two jobs traced together: each profile sees only its own."""
         cluster = Cluster.preset("pooled-rack",
                                  trace_categories={"profile"})
-        rts = RuntimeSystem(cluster)
+        session = connect(cluster=cluster)
         stats = {}
         for name in ("alpha", "beta"):
             job = Job(name)
             job.add_task(Task("t", work=WorkSpec(
                 ops=1e5, scratch=RegionUsage(1 * MiB, touches=1.0))))
-            stats[name] = rts.run_job(job)
+            stats[name] = session.run(job)
         alpha = Profile.from_run(cluster, stats["alpha"])
         beta = Profile.from_run(cluster, stats["beta"])
         assert all("alpha" in p.detail or p.kind == "compute"
@@ -139,8 +139,8 @@ class TestProfile:
         exactly the cross-layer attribution challenge 8(1) asks for."""
         cluster = Cluster.preset("pooled-rack",
                                  trace_categories={"profile"})
-        rts = RuntimeSystem(cluster)
-        stats = rts.run_job(build_hospital_job())
+        session = connect(cluster=cluster)
+        stats = session.run(build_hospital_job())
         profile = Profile.from_run(cluster, stats)
         by_region = profile.by_region()
         hottest_by_time = profile.hottest_region()

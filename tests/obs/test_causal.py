@@ -26,7 +26,7 @@ from repro.obs.causal import (
 )
 from repro.obs.export import causal_flow_events, load_jsonl
 from repro.obs.slo import SloPolicy
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceLog
 
@@ -364,7 +364,7 @@ def traced_run():
     """A real two-job run with causal tracing and an SLO policy on."""
     cluster = Cluster.preset("pooled-rack")
     cluster.obs.slo.set_policy("pipe", target_ns=1e9, objective=0.9)
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
     for _ in range(2):
         job = Job("pipe")
         a = job.add_task(Task("produce", work=WorkSpec(
@@ -376,7 +376,7 @@ def traced_run():
             ops=1e4, input_usage=RegionUsage(0))))
         job.connect(a, b)
         job.connect(b, c)
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.ok
     return cluster
 
@@ -422,10 +422,10 @@ class TestRuntimeIntegration:
     def test_disabled_causal_run_records_no_graphs(self):
         cluster = Cluster.preset("pooled-rack")
         cluster.obs.enable("job", "task")  # causal off
-        rts = RuntimeSystem(cluster)
+        session = connect(cluster=cluster)
         job = Job("quiet")
         job.add_task(Task("t", work=WorkSpec(ops=1e4)))
-        assert rts.run_job(job).ok
+        assert session.run(job).ok
         assert cluster.obs.causal.jobs == {}
 
     def test_jsonl_roundtrip_reattributes_identically(

@@ -11,7 +11,7 @@ from repro.hardware import Cluster
 from repro.obs import Observability
 from repro.obs.dashboard import render_dashboard, sparkline
 from repro.obs.export import load_jsonl, to_chrome_trace
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 from repro.sim.engine import Engine
 
 KiB = 1024
@@ -28,14 +28,14 @@ def traced_run():
     """A real job run with every relevant category recording."""
     cluster = Cluster.preset("pooled-rack")
     cluster.obs.enable("job", "task", "profile", "flow", "placement", "sched")
-    rts = RuntimeSystem(cluster)
+    session = connect(cluster=cluster)
     job = Job("pipe")
     a = job.add_task(Task("produce", work=WorkSpec(
         ops=1e5, output=RegionUsage(2 * MiB))))
     b = job.add_task(Task("sink", work=WorkSpec(
         ops=1e4, input_usage=RegionUsage(0))))
     job.connect(a, b)
-    stats = rts.run_job(job)
+    stats = session.run(job)
     assert stats.ok
     return cluster
 

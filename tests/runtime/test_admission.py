@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec, task
 from repro.hardware import Cluster
 from repro.runtime import RuntimeSystem
@@ -37,21 +38,21 @@ class TestRackDriver:
         arrivals = [
             (i * 10_000.0, f"job{i}", small_job(f"job{i}")) for i in range(12)
         ]
-        stats = driver.run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.completed == 12
         assert rts.memory.live_regions() == []
 
     def test_concurrency_cap_respected(self, rts):
         driver = RackDriver(rts, max_concurrent=2)
         arrivals = [(0.0, f"job{i}", small_job(f"job{i}")) for i in range(8)]
-        stats = driver.run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.completed == 8
         assert stats.peak_concurrency <= 2
 
     def test_queueing_shows_up_as_wait(self, rts):
         tight = RackDriver(rts, max_concurrent=1)
         arrivals = [(0.0, f"job{i}", small_job(f"job{i}")) for i in range(6)]
-        stats = tight.run_trace(arrivals)
+        stats = Session(rts, tight).run_trace(arrivals)
         assert stats.mean_queue_wait > 0
         # Later arrivals waited longer than the first.
         waits = [j.queue_wait for j in stats.jobs]
@@ -63,14 +64,14 @@ class TestRackDriver:
             rts = RuntimeSystem(Cluster.preset("pooled-rack", seed=38))
             driver = RackDriver(rts, max_concurrent=cap)
             arrivals = [(0.0, f"j{i}", small_job(f"j{i}")) for i in range(8)]
-            waits[cap] = driver.run_trace(arrivals).mean_queue_wait
+            waits[cap] = Session(rts, driver).run_trace(arrivals).mean_queue_wait
         assert waits[8] < waits[1]
 
     def test_utilization_sampled(self, rts):
         driver = RackDriver(rts, max_concurrent=4, sample_interval_ns=10_000.0)
         arrivals = [(0.0, f"job{i}", small_job(f"job{i}", payload=64 * MiB))
                     for i in range(4)]
-        stats = driver.run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         until = rts.cluster.engine.now
         assert stats.memory_utilization.samples > 2
         assert 0.0 <= stats.mean_memory_utilization(until) < 1.0
@@ -79,7 +80,7 @@ class TestRackDriver:
     def test_arrival_times_honoured(self, rts):
         driver = RackDriver(rts, max_concurrent=8)
         arrivals = [(500_000.0, "late", small_job("late"))]
-        stats = driver.run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.jobs[0].arrived_at == pytest.approx(500_000.0)
         assert stats.jobs[0].admitted_at >= 500_000.0
 
@@ -204,7 +205,7 @@ class TestQueueBookkeeping:
             (i * 2_000.0, f"j{i}", small_job(f"j{i}"), f"t{i % 5}")
             for i in range(30)
         ]
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.completed == 30
         assert max(seen) > 1  # queues really built up mid-run
         assert driver._queues == {} and driver.queued_count == 0

@@ -4,16 +4,15 @@ import pytest
 
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec, task
 from repro.hardware import Cluster
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 KiB = 1024
 MiB = 1024 * KiB
 
 
 @pytest.fixture
-def rts():
-    return RuntimeSystem(Cluster.preset("pooled-rack", seed=51))
-
+def session():
+    return connect(cluster=Cluster.preset("pooled-rack", seed=51))
 
 def two_stage(consumer_fn):
     job = Job("async-api")
@@ -28,7 +27,7 @@ def two_stage(consumer_fn):
 
 
 class TestAsyncContext:
-    def test_overlap_beats_serial(self, rts):
+    def test_overlap_beats_serial(self, session):
         """Prefetch + compute must finish in ~max of the two, not the sum."""
         durations = {}
         OPS = 1e6  # sized so fetch time and compute time are comparable
@@ -48,16 +47,16 @@ class TestAsyncContext:
             yield pending
             durations["overlapped"] = ctx.now - t0
 
-        rts.run_job(two_stage(serial))
-        rts2 = RuntimeSystem(Cluster.preset("pooled-rack", seed=51))
-        rts2.run_job(two_stage(overlapped))
+        session.run(two_stage(serial))
+        connect(cluster=Cluster.preset("pooled-rack", seed=51)).run(
+            two_stage(overlapped))
 
         assert durations["overlapped"] < durations["serial"]
         # The overlapped run hides (most of) the smaller component.
         hidden = durations["serial"] - durations["overlapped"]
         assert hidden > 0.5 * min(durations["read"], durations["compute"])
 
-    def test_async_write_overlaps_too(self, rts):
+    def test_async_write_overlaps_too(self, session):
         durations = {}
 
         def writer(ctx):
@@ -71,11 +70,11 @@ class TestAsyncContext:
         job = Job("writeback")
         job.add_task(Task("w", fn=writer, work=WorkSpec(
             output=RegionUsage(32 * MiB))))
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.ok
         assert durations["overlap"] > 0
 
-    def test_prefetch_event_returns_duration(self, rts):
+    def test_prefetch_event_returns_duration(self, session):
         seen = {}
 
         def consumer(ctx):
@@ -83,11 +82,11 @@ class TestAsyncContext:
             duration = yield pending
             seen["duration"] = duration
 
-        stats = rts.run_job(two_stage(consumer))
+        stats = session.run(two_stage(consumer))
         assert stats.ok
         assert seen["duration"] > 0
 
-    def test_stale_handle_fails_inside_prefetch(self, rts):
+    def test_stale_handle_fails_inside_prefetch(self, session):
         """Ownership rules still apply on the async path."""
         from repro.memory.ownership import UseAfterTransferError
 
@@ -104,5 +103,5 @@ class TestAsyncContext:
                 return
             raise AssertionError("stale prefetch should have failed")
 
-        stats = rts.run_job(two_stage(consumer))
+        stats = session.run(two_stage(consumer))
         assert stats.ok

@@ -17,7 +17,8 @@ from repro.dataflow import Job, RegionUsage, Task, WorkSpec, task
 from repro.ft import OutputBackupStore
 from repro.hardware import Cluster
 from repro.obs.causal import attribute_job, validate_path
-from repro.runtime import HealthMonitor, RecoveryPolicy, RuntimeSystem
+from repro.api import connect
+from repro.runtime import HealthMonitor, RecoveryPolicy
 from repro.sim.faults import FaultKind
 
 KiB = 1024
@@ -26,11 +27,12 @@ MiB = 1024 * KiB
 REL_TOL = 1e-6
 
 
-def recovery_rts(cluster, **policy_kwargs):
+def recovery_session(cluster, **policy_kwargs):
     monitor = HealthMonitor(cluster, detection_delay_ns=1_000.0)
-    rts = RuntimeSystem(cluster, recovery=RecoveryPolicy(**policy_kwargs))
-    rts.backups = OutputBackupStore(cluster, rts.memory)
-    return rts, monitor
+    session = connect(cluster=cluster,
+                      recovery=RecoveryPolicy(**policy_kwargs))
+    session.rts.backups = OutputBackupStore(cluster, session.rts.memory)
+    return session, monitor
 
 
 def assert_attribution_identity(graph):
@@ -59,8 +61,8 @@ class TestRetryAttribution:
 
     def test_node_crash_retry_shows_up_as_recovery_time(self):
         cluster = Cluster.preset("pooled-rack")
-        rts, _monitor = recovery_rts(cluster, backoff_base_ns=100.0)
-        execution = rts.submit(self.make_sleeper_job())
+        session, _monitor = recovery_session(cluster, backoff_base_ns=100.0)
+        execution = session.submit(self.make_sleeper_job()).execution
         victim = execution.assignment["t0"]
         cluster.faults.inject_at(
             50_000.0, FaultKind.NODE_CRASH, cluster.node_of(victim)
@@ -78,8 +80,8 @@ class TestRetryAttribution:
 
     def test_recovery_node_records_cause_and_replacement(self):
         cluster = Cluster.preset("pooled-rack")
-        rts, _monitor = recovery_rts(cluster, backoff_base_ns=100.0)
-        execution = rts.submit(self.make_sleeper_job())
+        session, _monitor = recovery_session(cluster, backoff_base_ns=100.0)
+        execution = session.submit(self.make_sleeper_job()).execution
         victim = execution.assignment["t0"]
         cluster.faults.inject_at(
             50_000.0, FaultKind.NODE_CRASH, cluster.node_of(victim)
@@ -100,8 +102,8 @@ class TestRetryAttribution:
     def test_failed_job_graph_still_sums(self):
         cluster = Cluster.preset("pooled-rack")
         HealthMonitor(cluster, detection_delay_ns=1_000.0)
-        rts = RuntimeSystem(cluster)  # no RecoveryPolicy: crash is fatal
-        execution = rts.submit(self.make_sleeper_job())
+        session = connect(cluster=cluster)  # no RecoveryPolicy: crash is fatal
+        execution = session.submit(self.make_sleeper_job()).execution
         victim = execution.assignment["t0"]
         cluster.faults.inject_at(
             50_000.0, FaultKind.NODE_CRASH, cluster.node_of(victim)
@@ -135,13 +137,13 @@ class TestDegradedReadAttribution:
 
     def test_backup_restore_retry_keeps_the_identity(self):
         cluster = Cluster.preset("pooled-rack")
-        rts, _monitor = recovery_rts(cluster, backoff_base_ns=100.0)
-        execution = rts.submit(self.make_pipeline_job(500_000.0))
+        session, _monitor = recovery_session(cluster, backoff_base_ns=100.0)
+        execution = session.submit(self.make_pipeline_job(500_000.0)).execution
         engine = cluster.engine
         while not execution._inboxes["consumer"]:
             engine.step()
         handle = execution._inboxes["consumer"][0]
-        while not rts.backups.has_backup(handle.region):
+        while not session.rts.backups.has_backup(handle.region):
             engine.step()
         cluster.faults.inject_now(
             FaultKind.NODE_CRASH, cluster.node_of(handle.region.device.name)
@@ -171,7 +173,7 @@ class TestChaosSweepAttribution:
         self, crash_at, node, seed, width
     ):
         cluster = Cluster.preset("pooled-rack", seed=seed)
-        rts, _monitor = recovery_rts(cluster, backoff_base_ns=100.0)
+        session, _monitor = recovery_session(cluster, backoff_base_ns=100.0)
         job = Job("chaos")
         source = job.add_task(Task("src", work=WorkSpec(
             ops=1e5, output=RegionUsage(4 * MiB))))
@@ -183,7 +185,7 @@ class TestChaosSweepAttribution:
                 output=RegionUsage(1 * MiB))))
             job.connect(source, mid)
             job.connect(mid, sink)
-        execution = rts.submit(job)
+        execution = session.submit(job).execution
         cluster.faults.inject_at(crash_at, FaultKind.NODE_CRASH, node)
         cluster.faults.inject_at(
             crash_at + 300_000.0, FaultKind.NODE_RESTART, node

@@ -8,6 +8,7 @@ jitter) must bound the blast radius of fail-slow devices.
 
 import pytest
 
+from repro.api import connect
 from repro.dataflow import Job, WorkSpec, task
 from repro.hardware import Cluster
 from repro.runtime import (
@@ -17,7 +18,6 @@ from repro.runtime import (
     LatencyScorecard,
     RecoveryPolicy,
     RetryBudget,
-    RuntimeSystem,
 )
 from repro.runtime.health import MONITOR_UNHANDLED_KINDS
 from repro.sim.faults import FaultKind
@@ -258,7 +258,7 @@ class TestRetryBudget:
     def test_exhausted_budget_fails_the_job(self):
         cluster = Cluster.preset("pooled-rack")
         HealthMonitor(cluster, detection_delay_ns=1_000.0)
-        rts = RuntimeSystem(cluster, recovery=RecoveryPolicy(
+        session = connect(cluster=cluster, recovery=RecoveryPolicy(
             max_task_attempts=10, backoff_base_ns=10.0,
             retry_budget_tokens=2.0,
         ))
@@ -270,7 +270,7 @@ class TestRetryBudget:
             from repro.sim.flows import TransferTimeout
             raise TransferTimeout(1.0, 1.0)  # recoverable every time
 
-        execution = rts.submit(job)
+        execution = session.submit(job).execution
         with pytest.raises(BaseException):
             cluster.engine.run(until=execution.done)
         # 1 initial + 2 budgeted retries, then the denial fails the job
@@ -319,7 +319,7 @@ class TestDecorrelatedJitter:
         different backoffs (TaskStats.last_backoff_ns)."""
         cluster = Cluster.preset("pooled-rack")
         HealthMonitor(cluster, detection_delay_ns=1_000.0)
-        rts = RuntimeSystem(cluster, recovery=RecoveryPolicy(
+        session = connect(cluster=cluster, recovery=RecoveryPolicy(
             backoff_base_ns=5_000.0))
 
         def sleeper(name):
@@ -331,8 +331,8 @@ class TestDecorrelatedJitter:
 
             return job
 
-        left = rts.submit(sleeper("left"))
-        right = rts.submit(sleeper("right"))
+        left = session.submit(sleeper("left")).execution
+        right = session.submit(sleeper("right")).execution
         victims = {left.assignment["t0"], right.assignment["t0"]}
         nodes = {cluster.node_of(v) for v in victims}
         for node in nodes:

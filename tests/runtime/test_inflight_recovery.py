@@ -9,6 +9,7 @@ These are the data-plane halves of the recovery ladder: a job with a
 
 import pytest
 
+from repro.api import Session, connect
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec, task
 from repro.ft import OutputBackupStore
 from repro.hardware import Cluster
@@ -25,13 +26,13 @@ KiB = 1024
 MiB = 1024 * KiB
 
 
-def recovery_rts(cluster, **policy_kwargs):
+def recovery_session(cluster, **policy_kwargs):
     monitor = HealthMonitor(cluster, detection_delay_ns=1_000.0)
-    rts = RuntimeSystem(
-        cluster, recovery=RecoveryPolicy(**policy_kwargs),
+    session = connect(
+        cluster=cluster, recovery=RecoveryPolicy(**policy_kwargs),
     )
-    rts.backups = OutputBackupStore(cluster, rts.memory)
-    return rts, monitor
+    session.rts.backups = OutputBackupStore(cluster, session.rts.memory)
+    return session, monitor
 
 
 class TestTaskRetry:
@@ -46,8 +47,8 @@ class TestTaskRetry:
 
     def test_node_crash_mid_task_retries_on_another_device(self):
         cluster = Cluster.preset("pooled-rack")
-        rts, monitor = recovery_rts(cluster, backoff_base_ns=100.0)
-        execution = rts.submit(self.make_sleeper_job())
+        session, monitor = recovery_session(cluster, backoff_base_ns=100.0)
+        execution = session.submit(self.make_sleeper_job()).execution
         victim = execution.assignment["t0"]
         node = cluster.node_of(victim)
         cluster.faults.inject_at(50_000.0, FaultKind.NODE_CRASH, node)
@@ -62,8 +63,8 @@ class TestTaskRetry:
     def test_without_policy_the_crash_fails_the_job(self):
         cluster = Cluster.preset("pooled-rack")
         HealthMonitor(cluster, detection_delay_ns=1_000.0)
-        rts = RuntimeSystem(cluster)  # no RecoveryPolicy: pre-health path
-        execution = rts.submit(self.make_sleeper_job())
+        session = connect(cluster=cluster)  # no RecoveryPolicy: pre-health path
+        execution = session.submit(self.make_sleeper_job()).execution
         victim = execution.assignment["t0"]
         cluster.faults.inject_at(
             50_000.0, FaultKind.NODE_CRASH, cluster.node_of(victim)
@@ -74,7 +75,7 @@ class TestTaskRetry:
 
     def test_application_bugs_are_never_retried(self):
         cluster = Cluster.preset("pooled-rack")
-        rts, _monitor = recovery_rts(cluster)
+        session, _monitor = recovery_session(cluster)
         job = Job("buggy")
 
         @task(job, name="t0", work=WorkSpec(ops=1e4))
@@ -82,7 +83,7 @@ class TestTaskRetry:
             yield from ctx.sleep(10.0)
             raise RuntimeError("application bug")
 
-        execution = rts.submit(job)
+        execution = session.submit(job).execution
         with pytest.raises(RuntimeError, match="application bug"):
             cluster.engine.run(until=execution.done)
         assert execution.stats.tasks["t0"].attempts == 1
@@ -90,8 +91,8 @@ class TestTaskRetry:
 
     def test_retry_budget_is_finite(self):
         cluster = Cluster.preset("pooled-rack")
-        rts, _monitor = recovery_rts(cluster, max_task_attempts=2,
-                                     backoff_base_ns=10.0)
+        session, _monitor = recovery_session(cluster, max_task_attempts=2,
+                                             backoff_base_ns=10.0)
         job = Job("cursed")
 
         @task(job, name="t0", work=WorkSpec(ops=1e4))
@@ -101,7 +102,7 @@ class TestTaskRetry:
 
             raise TransferTimeout(1.0, 1.0)  # recoverable every time
 
-        execution = rts.submit(job)
+        execution = session.submit(job).execution
         with pytest.raises(BaseException):
             cluster.engine.run(until=execution.done)
         assert execution.stats.tasks["t0"].attempts == 2
@@ -127,8 +128,8 @@ class TestDegradedRead:
 
     def test_lost_input_is_restored_from_backup(self):
         cluster = Cluster.preset("pooled-rack")
-        rts, _monitor = recovery_rts(cluster, backoff_base_ns=100.0)
-        execution = rts.submit(self.make_pipeline_job(500_000.0))
+        session, _monitor = recovery_session(cluster, backoff_base_ns=100.0)
+        execution = session.submit(self.make_pipeline_job(500_000.0)).execution
 
         # Run until the consumer is sleeping on its delivered input and
         # the (asynchronous) backup copy has landed, then crash the node
@@ -137,7 +138,7 @@ class TestDegradedRead:
         while not execution._inboxes["consumer"]:
             engine.step()
         handle = execution._inboxes["consumer"][0]
-        while not rts.backups.has_backup(handle.region):
+        while not session.rts.backups.has_backup(handle.region):
             engine.step()
         victim = cluster.node_of(handle.region.device.name)
         cluster.faults.inject_now(FaultKind.NODE_CRASH, victim)
@@ -146,16 +147,16 @@ class TestDegradedRead:
         stats = engine.run(until=execution.done)
         assert stats.ok
         assert stats.degraded_reads >= 1
-        assert rts.backups.stats.restores >= 1
+        assert session.rts.backups.stats.restores >= 1
         assert stats.tasks["consumer"].attempts >= 2
 
     def test_lost_input_without_backup_fails_the_job(self):
         cluster = Cluster.preset("pooled-rack")
         monitor = HealthMonitor(cluster, detection_delay_ns=1_000.0)
-        rts = RuntimeSystem(
-            cluster, recovery=RecoveryPolicy(backoff_base_ns=100.0),
+        session = connect(
+            cluster=cluster, recovery=RecoveryPolicy(backoff_base_ns=100.0),
         )  # note: no backup store
-        execution = rts.submit(self.make_pipeline_job(500_000.0))
+        execution = session.submit(self.make_pipeline_job(500_000.0)).execution
         engine = cluster.engine
         while not execution._inboxes["consumer"]:
             engine.step()
@@ -270,7 +271,7 @@ class TestLoadShedding:
         # The storage node holds ~90% of the rack's raw capacity; losing
         # it drops the surviving fraction far below the watermark.
         cluster.crash_node("stornode0")
-        stats = driver.run_trace(self.arrivals(3))
+        stats = Session(rts, driver).run_trace(self.arrivals(3))
         assert stats.shed == 3
         assert stats.completed == 0
         assert cluster.obs.counter("rack.shed").value == 3
@@ -281,7 +282,7 @@ class TestLoadShedding:
         rts = RuntimeSystem(cluster)
         driver = RackDriver(rts)  # shedding disabled by default
         cluster.crash_node("stornode0")
-        stats = driver.run_trace(self.arrivals(3))
+        stats = Session(rts, driver).run_trace(self.arrivals(3))
         assert stats.shed == 0
         assert stats.completed == 3
 
@@ -290,6 +291,6 @@ class TestLoadShedding:
         HealthMonitor(cluster, detection_delay_ns=0.0)
         rts = RuntimeSystem(cluster)
         driver = RackDriver(rts, shed_below_capacity_fraction=0.5)
-        stats = driver.run_trace(self.arrivals(3))
+        stats = Session(rts, driver).run_trace(self.arrivals(3))
         assert stats.shed == 0
         assert stats.completed == 3

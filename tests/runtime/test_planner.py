@@ -5,15 +5,20 @@ import pytest
 from repro.apps import build_hospital_job, build_query_job
 from repro.hardware import Cluster
 from repro.hardware.spec import ComputeKind, MemoryKind
-from repro.runtime import RuntimeSystem
+from repro.api import connect
 
 KiB = 1024
 MiB = 1024 * KiB
 
 
 @pytest.fixture
-def rts():
-    return RuntimeSystem(Cluster.preset("pooled-rack", seed=103))
+def session():
+    return connect(cluster=Cluster.preset("pooled-rack", seed=103))
+
+
+@pytest.fixture
+def rts(session):
+    return session.rts
 
 
 class TestPlanner:
@@ -24,16 +29,16 @@ class TestPlanner:
         assert all(d.used == 0 for d in rts.cluster.memory.values())
         assert rts.cluster.engine.now == 0.0
 
-    def test_plan_matches_actual_assignment(self, rts):
+    def test_plan_matches_actual_assignment(self, rts, session):
         job_for_plan = build_hospital_job()
         plan = rts.plan(job_for_plan)
-        stats = rts.run_job(build_hospital_job())
+        stats = session.run(build_hospital_job())
         assert plan.assignment == stats.assignment
 
-    def test_planned_regions_match_actual_placements(self, rts):
+    def test_planned_regions_match_actual_placements(self, rts, session):
         rts.cluster.trace.enabled = None
         plan = rts.plan(build_hospital_job())
-        stats = rts.run_job(build_hospital_job())
+        stats = session.run(build_hospital_job())
         actual = {
             (str(e.fields["region"]), str(e.fields["device"]))
             for e in rts.cluster.trace.by_name("allocate")
@@ -43,9 +48,9 @@ class TestPlanner:
                 expected_name = f"hospital/{task_name}#{'scratch' if region.role == 'scratch' else 'out'}"
                 assert (expected_name, region.device) in actual, region
 
-    def test_predicted_makespan_in_right_ballpark(self, rts):
+    def test_predicted_makespan_in_right_ballpark(self, rts, session):
         plan = rts.plan(build_query_job(n_rows=300_000))
-        stats = rts.run_job(build_query_job(n_rows=300_000))
+        stats = session.run(build_query_job(n_rows=300_000))
         ratio = stats.makespan / plan.predicted_makespan
         assert 0.4 <= ratio <= 3.0, ratio
 

@@ -8,15 +8,22 @@ from repro.hardware.spec import ComputeKind, OpClass
 from repro.memory.interfaces import AccessPattern
 from repro.memory.properties import LatencyClass
 from repro.memory.regions import RegionType
-from repro.runtime import RuntimeSystem, baselines
+from repro.api import Session, connect
+from repro.runtime import baselines
+from repro.runtime.admission import RackDriver
 
 KiB = 1024
 MiB = 1024 * KiB
 
 
 @pytest.fixture
-def rts():
-    return RuntimeSystem(Cluster.preset("pooled-rack"))
+def session():
+    return connect(cluster=Cluster.preset("pooled-rack"))
+
+
+@pytest.fixture
+def rts(session):
+    return session.rts
 
 
 def pipeline_job(name="pipe", payload=4 * MiB):
@@ -37,49 +44,49 @@ def pipeline_job(name="pipe", payload=4 * MiB):
 
 
 class TestExecution:
-    def test_pipeline_completes(self, rts):
-        stats = rts.run_job(pipeline_job())
+    def test_pipeline_completes(self, session):
+        stats = session.run(pipeline_job())
         assert stats.ok
         assert stats.makespan > 0
         assert set(stats.tasks) == {"produce", "transform", "sink"}
 
-    def test_tasks_respect_dag_order(self, rts):
-        stats = rts.run_job(pipeline_job())
+    def test_tasks_respect_dag_order(self, session):
+        stats = session.run(pipeline_job())
         assert stats.tasks["produce"].finished_at <= stats.tasks["transform"].started_at
         assert stats.tasks["transform"].finished_at <= stats.tasks["sink"].started_at
 
-    def test_no_region_leaks_after_job(self, rts):
-        rts.run_job(pipeline_job())
+    def test_no_region_leaks_after_job(self, rts, session):
+        session.run(pipeline_job())
         assert rts.memory.live_regions() == []
         for device in rts.cluster.memory.values():
             assert device.used == 0
 
-    def test_no_leaks_across_many_jobs(self, rts):
+    def test_no_leaks_across_many_jobs(self, rts, session):
         for i in range(20):
-            stats = rts.run_job(pipeline_job(name=f"pipe{i}"))
+            stats = session.run(pipeline_job(name=f"pipe{i}"))
             assert stats.ok
         assert rts.memory.live_regions() == []
         assert rts.memory.freed_regions > 0
 
-    def test_zero_copy_handover_on_pooled_rack(self, rts):
+    def test_zero_copy_handover_on_pooled_rack(self, session):
         """On the pooled rack every device can address the pool, so the
         whole pipeline should hand over without copying."""
-        stats = rts.run_job(pipeline_job())
+        stats = session.run(pipeline_job())
         assert stats.zero_copy_handover >= 2
         assert stats.copy_handover == 0
 
-    def test_fan_out_shares_output(self, rts):
+    def test_fan_out_shares_output(self, rts, session):
         job = Job("fanout")
         src = job.add_task(Task("src", work=WorkSpec(ops=1e4, output=RegionUsage(1 * MiB))))
         for i in range(3):
             sink = job.add_task(Task(
                 f"sink{i}", work=WorkSpec(ops=1e4, input_usage=RegionUsage(0))))
             job.connect(src, sink)
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.ok
         assert rts.memory.live_regions() == []
 
-    def test_fan_in_collects_inputs(self, rts):
+    def test_fan_in_collects_inputs(self, session):
         job = Job("fanin")
         sinks = []
         for i in range(3):
@@ -89,10 +96,10 @@ class TestExecution:
             ops=1e4, input_usage=RegionUsage(0))))
         for s in sinks:
             job.connect(s, join)
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.ok
 
-    def test_global_scratch_slots_flow_between_unconnected_tasks(self, rts):
+    def test_global_scratch_slots_flow_between_unconnected_tasks(self, rts, session):
         """Table 2's Global Scratch: a bloom filter published by one task
         and consumed by a task not connected to it."""
         job = Job("bloom")
@@ -101,17 +108,17 @@ class TestExecution:
         prober = job.add_task(Task("prober", work=WorkSpec(
             ops=1e4, scratch_gets=("bloom",))))
         # No edge between them: synchronized only through the slot.
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.ok
         assert rts.memory.live_regions() == []
 
-    def test_concurrent_jobs_contend_but_complete(self, rts):
+    def test_concurrent_jobs_contend_but_complete(self, rts, session):
         jobs = [pipeline_job(name=f"job{i}") for i in range(4)]
-        all_stats = rts.run_jobs(jobs)
+        all_stats = session.run(*jobs)
         assert all(s.ok for s in all_stats)
         assert rts.memory.live_regions() == []
 
-    def test_compute_kind_honored_at_execution(self, rts):
+    def test_compute_kind_honored_at_execution(self, rts, session):
         job = Job("gpu-job")
         job.add_task(Task(
             "t", work=WorkSpec(op_class=OpClass.MATMUL, ops=1e6,
@@ -119,10 +126,10 @@ class TestExecution:
             properties=TaskProperties(compute=ComputeKind.GPU,
                                       mem_latency=LatencyClass.LOW),
         ))
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert rts.cluster.compute[stats.assignment["t"]].kind is ComputeKind.GPU
 
-    def test_confidential_task_regions_stay_isolated(self, rts):
+    def test_confidential_task_regions_stay_isolated(self, rts, session):
         placed = []
         original_place = rts.placement.place
 
@@ -137,7 +144,7 @@ class TestExecution:
             "t", work=WorkSpec(ops=1e4, scratch=RegionUsage(1 * MiB)),
             properties=TaskProperties(confidential=True),
         ))
-        assert rts.run_job(job).ok
+        assert session.run(job).ok
         from repro.hardware.spec import Attachment
 
         scratch_regions = [r for r in placed if r.region_type is RegionType.PRIVATE_SCRATCH]
@@ -145,7 +152,7 @@ class TestExecution:
         for region in scratch_regions:
             assert region.device.spec.attachment is not Attachment.NIC
 
-    def test_persistent_output_lands_on_persistent_media(self, rts):
+    def test_persistent_output_lands_on_persistent_media(self, rts, session):
         placed = []
         original_place = rts.placement.place
 
@@ -160,13 +167,13 @@ class TestExecution:
                               properties=TaskProperties(persistent=True)))
         b = job.add_task(Task("b", work=WorkSpec(ops=1e3, input_usage=RegionUsage(0))))
         job.connect(a, b)
-        assert rts.run_job(job).ok
+        assert session.run(job).ok
         outs = [r for req, r in placed if req.region_type is RegionType.OUTPUT]
         assert outs and all(r.device.spec.persistent for r in outs)
 
 
 class TestCustomBehaviour:
-    def test_user_function_with_context(self, rts):
+    def test_user_function_with_context(self, session):
         job = Job("custom")
         events = []
 
@@ -182,12 +189,12 @@ class TestCustomBehaviour:
             duration = yield from ctx.read(data, pattern=AccessPattern.RANDOM)
             events.append(("consumed", duration))
 
-        stats = rts.run_job(job)
+        stats = session.run(job)
         assert stats.ok
         assert [e[0] for e in events] == ["produced", "consumed"]
         assert events[1][1] > 0
 
-    def test_failing_task_fails_job_with_cause(self, rts):
+    def test_failing_task_fails_job_with_cause(self, rts, session):
         job = Job("boom")
 
         @task(job, work=WorkSpec())
@@ -196,11 +203,11 @@ class TestCustomBehaviour:
             raise RuntimeError("intentional")
 
         with pytest.raises(RuntimeError, match="intentional"):
-            rts.run_job(job)
+            session.run(job)
         execution = rts.executions[-1]
         assert not execution.stats.ok
 
-    def test_downstream_of_failed_task_does_not_run(self, rts):
+    def test_downstream_of_failed_task_does_not_run(self, rts, session):
         job = Job("cascade")
         ran = []
 
@@ -215,7 +222,7 @@ class TestCustomBehaviour:
             yield from ctx.sleep(1.0)
 
         with pytest.raises(RuntimeError):
-            rts.run_job(job)
+            session.run(job)
         rts.cluster.engine.run()  # drain
         assert not ran
 
@@ -225,7 +232,8 @@ class TestBaselineFactories:
         for name, factory in baselines.REGISTRY.items():
             cluster = Cluster.preset("pooled-rack", seed=11)
             rts = factory(cluster)
-            stats = rts.run_job(pipeline_job(name=f"bl-{name}"))
+            session = Session(rts, RackDriver(rts))
+            stats = session.run(pipeline_job(name=f"bl-{name}"))
             assert stats.ok, name
 
     def test_declarative_not_slower_than_naive(self):
@@ -235,11 +243,12 @@ class TestBaselineFactories:
         for name in ("declarative", "naive"):
             cluster = Cluster.preset("pooled-rack", seed=5)
             rts = baselines.REGISTRY[name](cluster)
-            times[name] = rts.run_job(pipeline_job(payload=16 * MiB)).makespan
+            session = Session(rts, RackDriver(rts))
+            times[name] = session.run(pipeline_job(payload=16 * MiB)).makespan
         assert times["declarative"] <= times["naive"]
 
     def test_local_only_baseline_runs(self):
         cluster = Cluster.preset("pooled-rack", seed=1)
         rts = baselines.local_only(cluster, "dram-local1")
-        stats = rts.run_job(pipeline_job(name="pinned"))
+        stats = Session(rts, RackDriver(rts)).run(pipeline_job(name="pinned"))
         assert stats.ok

@@ -3,6 +3,7 @@ preemption (the PR-5 tenancy layer over the rack driver)."""
 
 import pytest
 
+from repro.api import Session
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.hardware import Cluster
 from repro.runtime import RuntimeSystem
@@ -153,7 +154,7 @@ class TestWeightedFairQueueing:
             arrivals.append((0.0, f"h{i}", small_job(f"h{i}"), "heavy"))
         for i in range(4):
             arrivals.append((0.0, f"l{i}", small_job(f"l{i}"), "light"))
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.completed == 12
         first8 = sorted(stats.jobs, key=lambda j: j.admission_index)[:8]
         heavy = sum(1 for j in first8 if j.tenant == "heavy")
@@ -164,7 +165,7 @@ class TestWeightedFairQueueing:
         driver = RackDriver(rts, max_concurrent=1)
         arrivals = [(i * 1000.0, f"j{i}", small_job(f"j{i}"))
                     for i in range(6)]
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         order = sorted(stats.jobs, key=lambda j: j.admission_index)
         assert [j.name for j in order] == [f"j{i}" for i in range(6)]
 
@@ -177,7 +178,7 @@ class TestWeightedFairQueueing:
         arrivals = [(0.0, f"bulk{i}", small_job(f"bulk{i}"), "bulk")
                     for i in range(5)]
         arrivals.append((1000.0, "web0", small_job("web0"), "web"))
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         web = next(j for j in stats.jobs if j.name == "web0")
         order = sorted(stats.jobs, key=lambda j: j.admission_index)
         # One bulk job was already running; the web job takes the very
@@ -193,7 +194,7 @@ class TestWeightedFairQueueing:
         arrivals = [(0.0, f"bulk{i}", small_job(f"bulk{i}"), "bulk")
                     for i in range(5)]
         arrivals.append((1000.0, "web0", small_job("web0"), "web"))
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         web = next(j for j in stats.jobs if j.name == "web0")
         assert web.admission_index == 5  # strict arrival order
 
@@ -205,7 +206,7 @@ class TestQuotas:
         driver = RackDriver(rts, max_concurrent=8, tenants=registry)
         arrivals = [(0.0, f"j{i}", small_job(f"j{i}"), "capped")
                     for i in range(4)]
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.completed == 4
         assert registry.get("capped").quota_deferrals > 0
         # With the cap the jobs serialized: each admission follows the
@@ -235,7 +236,7 @@ class TestQuotas:
             (0.0, "j0", small_job("j0", ops=1e6), "metered"),
             (500_000.0, "j1", small_job("j1"), "metered"),
         ]
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.completed == 2
         metered = registry.get("metered")
         assert metered.quota_deferrals > 0
@@ -245,7 +246,7 @@ class TestQuotas:
 
     def test_tenant_report_shape(self, rts):
         driver = RackDriver(rts, max_concurrent=2)
-        driver._run_trace([(0.0, "j0", small_job("j0"))])
+        Session(rts, driver).run_trace([(0.0, "j0", small_job("j0"))])
         report = driver.tenant_report()
         assert DEFAULT_TENANT in report
         row = report[DEFAULT_TENANT]
@@ -268,7 +269,7 @@ class TestPreemption:
             (0.0, "bulk0", small_job("bulk0", ops=5e6), "bulk"),
             (50_000.0, "web0", small_job("web0"), "web"),
         ]
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.completed == 2  # the victim still finishes
         bulk = next(j for j in stats.jobs if j.name == "bulk0")
         web = next(j for j in stats.jobs if j.name == "web0")
@@ -289,7 +290,7 @@ class TestPreemption:
             (0.0, "bulk0", small_job("bulk0", ops=5e6), "bulk"),
             (50_000.0, "web0", small_job("web0"), "web"),
         ]
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         web = next(j for j in stats.jobs if j.name == "web0")
         bulk = next(j for j in stats.jobs if j.name == "bulk0")
         assert stats.preemptions == 0
@@ -304,7 +305,7 @@ class TestPreemption:
             (30_000.0 * (i + 1), f"web{i}", small_job(f"web{i}"), "web")
             for i in range(4)
         ]
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         bulk = next(j for j in stats.jobs if j.name == "bulk0")
         assert stats.completed == 5
         assert bulk.preemptions <= 1
@@ -318,7 +319,7 @@ class TestPreemption:
             (0.0, "steady0", small_job("steady0", ops=5e6), "steady"),
             (50_000.0, "web0", small_job("web0"), "web"),
         ]
-        stats = driver._run_trace(arrivals)
+        stats = Session(rts, driver).run_trace(arrivals)
         assert stats.preemptions == 0
         web = next(j for j in stats.jobs if j.name == "web0")
         steady = next(j for j in stats.jobs if j.name == "steady0")

@@ -1,12 +1,17 @@
-"""Tests for the unified submission API: connect()/Session, and the
-deprecation shims that keep the old entry points alive."""
-
-import warnings
+"""Tests for the unified submission API: connect()/Session, the only
+way to submit work."""
 
 import pytest
 
-from repro import _compat, connect
+from repro import connect
 from repro.api import Session
+from repro.apps import (
+    JacobiSolver,
+    LinearTrainer,
+    LLMEngine,
+    PhysicalQueryEngine,
+    StreamExecutor,
+)
 from repro.dataflow import Job, RegionUsage, Task, WorkSpec, task
 from repro.hardware import Cluster
 from repro.runtime import RackDriver, RuntimeSystem
@@ -220,52 +225,23 @@ class TestSessionRun:
         assert "Jobs" in text
 
 
-class TestDeprecationShims:
-    """Every legacy entry point warns exactly once and still works."""
+class TestOneFrontDoor:
+    """Session is the only way to submit work."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_warning_registry(self):
-        _compat.reset_warnings()
-        yield
-        _compat.reset_warnings()
+    @pytest.mark.parametrize("build", [
+        lambda rts: LinearTrainer(rts),
+        lambda rts: JacobiSolver(rts),
+        lambda rts: PhysicalQueryEngine(rts),
+        lambda rts: StreamExecutor(rts, pipeline),
+        lambda rts: LLMEngine(rts),
+    ], ids=["LinearTrainer", "JacobiSolver", "PhysicalQueryEngine",
+            "StreamExecutor", "LLMEngine"])
+    def test_app_driver_rejects_bare_runtime(self, build):
+        rts = RuntimeSystem(Cluster.preset("pooled-rack"))
+        with pytest.raises(TypeError, match=r"connect\("):
+            build(rts)
 
-    @staticmethod
-    def _rts():
-        return RuntimeSystem(Cluster.preset("pooled-rack"))
-
-    def _assert_warns_once(self, call):
-        with pytest.warns(DeprecationWarning, match="^repro\\.") as record:
-            first = call()
-        assert len(record) == 1
-        with warnings.catch_warnings(record=True) as silent:
-            warnings.simplefilter("always")
-            call()
-        assert not silent  # second use is quiet
-        return first
-
-    def test_run_job_warns_once_and_forwards(self):
-        rts = self._rts()
-        stats = self._assert_warns_once(lambda: rts.run_job(pipeline()))
-        assert stats.ok
-
-    def test_run_jobs_warns_once_and_forwards(self):
-        rts = self._rts()
-        results = self._assert_warns_once(
-            lambda: rts.run_jobs([pipeline("p0"), pipeline("p1")]))
-        assert [s.job_name for s in results] == ["p0", "p1"]
-
-    def test_submit_warns_once_and_forwards(self):
-        rts = self._rts()
-        execution = self._assert_warns_once(lambda: rts.submit(pipeline()))
-        rts.cluster.engine.run()
-        assert execution.stats.ok
-
-    def test_run_trace_warns_once_and_forwards(self):
-        # A fresh driver per call: run_trace drains one arrival list,
-        # so re-running it on a used driver would never terminate.
-        def call():
-            driver = RackDriver(self._rts(), max_concurrent=2)
-            return driver.run_trace([(0.0, "j0", lambda: pipeline("j0"))])
-
-        stats = self._assert_warns_once(call)
-        assert stats.completed >= 1
+    def test_runtime_and_driver_expose_no_submission_door(self):
+        for name in ("submit", "run_job", "run_jobs", "run"):
+            assert not hasattr(RuntimeSystem, name), name
+        assert not hasattr(RackDriver, "run_trace")

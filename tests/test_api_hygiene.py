@@ -146,14 +146,3 @@ def test_api_surface_snapshot(module_name):
     module = importlib.import_module(module_name)
     assert set(module.__all__) == API_SURFACE[module_name]
 
-
-def test_deprecated_entry_points_still_exist():
-    """The shims forward, so the legacy spelling must stay importable."""
-    from repro.runtime import RackDriver, RuntimeSystem
-
-    for cls, names in [
-        (RuntimeSystem, ("submit", "run_job", "run_jobs")),
-        (RackDriver, ("run_trace",)),
-    ]:
-        for name in names:
-            assert callable(getattr(cls, name)), f"{cls.__name__}.{name}"
