@@ -1,9 +1,12 @@
 """C4 — §3 Challenge 8: fault-tolerant far memory, replication vs
 erasure coding (Carbink, OSDI '22).
 
-Store the same object set under 3-way replication, RS(4+2) erasure
-coding, and RAID-5-style striping on an 8-node far-memory rack; crash a
-node; let the orchestrator repair.  Pass criteria (Carbink's trade-off):
+Store the same object set under 3-way replication (RS(1+2): every
+parity shard a plain copy), RS(4+2) erasure coding, and single-parity
+striping (RS(4+1)) on an 8-node far-memory rack; crash a node; let the
+orchestrator repair.  All three are one span store with different
+(k, m), and every read decodes from the shards that survive.  Pass
+criteria (Carbink's trade-off):
 
 * erasure coding's memory overhead ≈ 1.5x vs replication's 3x,
 * replication repairs with less traffic and faster,
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import once, run_sim
-from repro.ft import ErasureCodedStore, RecoveryOrchestrator, ReplicatedStore, StripedStore
+from repro.ft import DataLoss, ErasureCodedStore, RecoveryOrchestrator
 from repro.hardware import Cluster
 from repro.memory.manager import MemoryManager
 from repro.metrics import Table, format_bytes, format_ns
@@ -24,19 +27,20 @@ KiB = 1024
 FARS = [f"far{i}" for i in range(8)]
 N_OBJECTS = 16
 OBJ_BYTES = 64 * KiB  # exactly one RS(4+2) span (4 x 16 KiB data shards)
+#: scheme -> (devices, k, m, shard_size)
+SCHEMES = {
+    "3-way replication": (FARS, 1, 2, 64 * KiB),
+    "RS(4+2) erasure coding": (FARS, 4, 2, 16 * KiB),
+    "RS(4+1) parity striping": (FARS[:6], 4, 1, 16 * KiB),
+}
 
 
 def build_store(kind):
     cluster = Cluster.preset("far-memory-rack", n_nodes=8, seed=21)
     manager = MemoryManager(cluster)
-    if kind == "3-way replication":
-        store = ReplicatedStore(cluster, manager, FARS, home="dram0", copies=3)
-    elif kind == "RS(4+2) erasure coding":
-        store = ErasureCodedStore(cluster, manager, FARS, home="dram0",
-                                  k=4, m=2, shard_size=16 * KiB)
-    else:
-        store = StripedStore(cluster, manager, FARS[:6], home="dram0",
-                             page_size=16 * KiB, parity=True)
+    devices, k, m, shard_size = SCHEMES[kind]
+    store = ErasureCodedStore(cluster, manager, devices, home="dram0",
+                              k=k, m=m, shard_size=shard_size)
     orchestrator = RecoveryOrchestrator(cluster, [store],
                                         detection_delay_ns=10_000.0)
     return cluster, store, orchestrator
@@ -60,8 +64,7 @@ def verify(cluster, store, objects):
 
 
 def test_claim_ft_replication_vs_erasure(benchmark, report):
-    schemes = ["3-way replication", "RS(4+2) erasure coding",
-               "striping + parity (5+1)"]
+    schemes = list(SCHEMES)
     results = {}
 
     def experiment():
@@ -105,7 +108,7 @@ def test_claim_ft_replication_vs_erasure(benchmark, report):
     repl = results["3-way replication"]
     ec = results["RS(4+2) erasure coding"]
     assert repl["intact"] and ec["intact"]
-    assert results["striping + parity (5+1)"]["intact"]
+    assert results["RS(4+1) parity striping"]["intact"]
     # Carbink's headline: EC ~halves memory overhead...
     assert repl["overhead"] == pytest.approx(3.0, rel=0.05)
     assert ec["overhead"] == pytest.approx(1.5, rel=0.2)
@@ -115,8 +118,6 @@ def test_claim_ft_replication_vs_erasure(benchmark, report):
 
 
 def test_claim_ft_survives_m_failures_not_more(benchmark, report):
-    from repro.ft.erasure import DataLoss
-
     def experiment():
         outcomes = {}
         for crashes in (1, 2, 3):

@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Fault-tolerant far memory: replication vs. erasure coding (paper §3).
 
-Stores the same objects in a 3-way replicated store and a Carbink-style
-RS(4+2) erasure-coded store on a rack of eight far-memory nodes, then
-crashes a node and lets the recovery orchestrator repair both.  Shows
-the trade-off the paper describes: erasure coding halves the memory
-overhead, replication repairs with less traffic.
+Stores the same objects in two Carbink-style span stores on a rack of
+eight far-memory nodes: 3-way replication (k=1, m=2: every parity shard
+is a plain copy) and RS(4+2) erasure coding.  Then crashes a node and
+lets the recovery orchestrator repair both.  Shows the trade-off the
+paper describes: erasure coding halves the memory overhead, replication
+repairs with less traffic.
 
 Run:  python examples/fault_tolerant_memory.py
 """
 
 import numpy as np
 
-from repro.ft import ErasureCodedStore, RecoveryOrchestrator, ReplicatedStore
+from repro.ft import ErasureCodedStore, RecoveryOrchestrator
 from repro.hardware import Cluster
 from repro.memory.manager import MemoryManager
 from repro.metrics import Table, format_bytes, format_ns
@@ -33,11 +34,12 @@ def build(kind: str):
     cluster = Cluster.preset("far-memory-rack", n_nodes=8, seed=9)
     manager = MemoryManager(cluster)
     if kind == "replication":
-        store = ReplicatedStore(cluster, manager, FARS, home="dram0", copies=3)
+        k, m, shard_size = 1, 2, 48 * KiB
     else:
-        store = ErasureCodedStore(
-            cluster, manager, FARS, home="dram0", k=4, m=2, shard_size=16 * KiB,
-        )
+        k, m, shard_size = 4, 2, 16 * KiB
+    store = ErasureCodedStore(
+        cluster, manager, FARS, home="dram0", k=k, m=m, shard_size=shard_size,
+    )
     orchestrator = RecoveryOrchestrator(cluster, [store],
                                         detection_delay_ns=10_000.0)
     return cluster, store, orchestrator
@@ -54,9 +56,7 @@ def main() -> None:
     ], title="Replication vs. erasure coding after one node crash")
 
     for kind in ("replication", "erasure RS(4+2)"):
-        cluster, store, orchestrator = build(
-            "replication" if kind == "replication" else "erasure"
-        )
+        cluster, store, orchestrator = build(kind)
         for name, data in objects.items():
             run(cluster, store.put(name, data))
         overhead = store.memory_overhead()

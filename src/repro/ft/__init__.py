@@ -3,14 +3,13 @@
 The paper lists the mechanisms a disaggregated runtime can use to
 survive the failures that are routine at datacenter scale:
 
-* **replication** (:mod:`repro.ft.replication`) — k copies of a region
-  on distinct failure domains; fast recovery, 2–3× memory overhead;
-* **striping** (:mod:`repro.ft.striping`) — pages of a region spread
-  over several memory nodes, optionally with XOR parity;
-* **erasure coding** (:mod:`repro.ft.erasure`) — Carbink-style spans of
-  k data shards + m Reed–Solomon parity shards on distinct nodes, with
-  compaction of dead space; ~(k+m)/k memory overhead at the price of
-  reconstruction bandwidth.  The Reed–Solomon codec
+* **one redundancy code** (:mod:`repro.ft.erasure`) — Carbink-style
+  spans of k data shards + m Reed–Solomon parity shards on distinct
+  failure domains, with compaction of dead space; (k+m)/k memory
+  overhead at the price of reconstruction bandwidth.  The (k, m) pair
+  covers every scheme the paper lists: r-way replication is
+  ``k=1, m=r-1`` (each parity shard is a plain copy), single-parity
+  striping is ``m=1`` and plain striping ``m=0``.  The codec
   (:mod:`repro.ft.gf256`, :class:`repro.ft.erasure.ReedSolomon`) is a
   real, byte-exact implementation validated by property tests.
 * **recovery orchestration** (:mod:`repro.ft.recovery`) — failure
@@ -21,13 +20,12 @@ survive the failures that are routine at datacenter scale:
 from repro.ft.backups import BackupStats, OutputBackupStore
 from repro.ft.gf256 import GF256
 from repro.ft.erasure import (
+    DataLoss,
     DecodeError,
     ErasureCodedStore,
     ReedSolomon,
     Span,
 )
-from repro.ft.replication import ReplicatedStore, ReplicaSet
-from repro.ft.striping import StripedStore, StripeSet
 from repro.ft.recovery import RecoveryOrchestrator, RecoveryStats
 from repro.ft.checkpoint import CheckpointError, CheckpointService, Snapshot
 
@@ -35,6 +33,7 @@ __all__ = [
     "BackupStats",
     "CheckpointError",
     "CheckpointService",
+    "DataLoss",
     "DecodeError",
     "ErasureCodedStore",
     "GF256",
@@ -42,10 +41,6 @@ __all__ = [
     "RecoveryOrchestrator",
     "RecoveryStats",
     "ReedSolomon",
-    "ReplicaSet",
-    "ReplicatedStore",
     "Snapshot",
     "Span",
-    "StripeSet",
-    "StripedStore",
 ]

@@ -1,4 +1,4 @@
-"""Carbink-style erasure-coded far memory.
+"""Carbink-style erasure-coded far memory: the one redundancy code.
 
 Two layers:
 
@@ -14,6 +14,11 @@ Two layers:
   measured, not asserted.  Deleting objects leaves dead bytes in their
   spans; :meth:`compact` rewrites fragmented spans (Carbink's
   compaction), reclaiming the dead space.
+
+The (k, m) pair spans the whole overhead-versus-repair curve: k = 1
+makes every parity shard a plain copy, so r-way replication is
+``k=1, m=r-1``; ``m=1`` is single-parity striping and ``m=0`` plain
+striping.  Every read decodes from the shards that actually survive.
 """
 
 from __future__ import annotations
@@ -95,10 +100,8 @@ class ReedSolomon:
 class Span:
     """One erasure-coded span: k data + m parity shards on k+m devices."""
 
-    _ids = count()
-
-    def __init__(self, k: int, m: int, shard_size: int):
-        self.id = next(Span._ids)
+    def __init__(self, span_id: int, k: int, m: int, shard_size: int):
+        self.id = span_id
         self.k = k
         self.m = m
         self.shard_size = shard_size
@@ -157,10 +160,11 @@ class ErasureCodedStore:
         shard_size: int = 64 * 1024,
         owner: str = "ec-store",
     ):
-        if len({cluster.node_of(d) or d for d in devices}) < k + m:
+        domains = len({cluster.node_of(d) or d for d in devices})
+        if domains < k + m:
             raise ValueError(
                 f"need devices in >= {k + m} distinct failure domains, "
-                f"got {len(devices)}"
+                f"got {domains}"
             )
         self.cluster = cluster
         self.manager = manager
@@ -172,6 +176,7 @@ class ErasureCodedStore:
         self.spans: typing.List[Span] = []
         self._index: typing.Dict[str, Span] = {}
         self._next_device = 0
+        self._span_ids = count()
         self.bytes_written = 0
         self.bytes_read = 0
         self.repair_bytes = 0
@@ -204,7 +209,7 @@ class ErasureCodedStore:
         return picked
 
     def _allocate_span(self) -> Span:
-        span = Span(self.codec.k, self.codec.m, self.shard_size)
+        span = Span(next(self._span_ids), self.codec.k, self.codec.m, self.shard_size)
         names = self._pick_devices(self.codec.k + self.codec.m)
         for name in names:
             region = self.manager.allocate_on(
@@ -301,12 +306,16 @@ class ErasureCodedStore:
         return flat[offset: offset + length].copy()
 
     def delete(self, name: str) -> None:
-        """Mark the object dead (space reclaimed by compaction)."""
+        """Mark the object dead (space reclaimed by compaction); a span
+        left with no live object is freed at once."""
         span = self._index.pop(name, None)
         if span is None:
             raise KeyError(f"no object {name!r}")
         _offset, length = span.objects.pop(name)
         span.dead_bytes += length
+        if not span.objects:
+            self.spans.remove(span)
+            self._free_regions(span)
 
     # -- failure handling ---------------------------------------------------
 
@@ -328,7 +337,9 @@ class ErasureCodedStore:
 
         For each damaged span: read k surviving shards, decode, place
         replacement shards on healthy devices in unused failure domains,
-        and write them out.  Returns the number of shards rebuilt.
+        and write them out.  A span with no room for its replacements
+        stays degraded (still readable by decode).  Returns the number
+        of shards rebuilt.
         """
         rebuilt = 0
         for span in self.spans:
@@ -352,7 +363,10 @@ class ErasureCodedStore:
             )
             parity = self.codec.encode(data)
             healthy = [d for i, d in enumerate(span.devices) if i not in lost]
-            replacements = self._pick_devices(len(lost), exclude=healthy)
+            try:
+                replacements = self._pick_devices(len(lost), exclude=healthy)
+            except PlacementError:
+                continue
 
             writes = []
             for shard_index, new_device in zip(lost, replacements):
@@ -405,9 +419,7 @@ class ErasureCodedStore:
                 payload = flat[offset: offset + length].copy()
                 yield from self.put(name, payload)
                 moved += 1
-            for region in span.regions:
-                if region.state is RegionState.ACTIVE:
-                    self.manager.free(region)
+            self._free_regions(span)
             self.compactions += 1
         return moved
 
@@ -430,6 +442,11 @@ class ErasureCodedStore:
         return self.physical_bytes() / live if live else float("inf")
 
     # -- internals ---------------------------------------------------------
+
+    def _free_regions(self, span: Span) -> None:
+        for region in span.regions:
+            if region.state is RegionState.ACTIVE:
+                self.manager.free(region)
 
     def _reconstruct_data(self, span: Span) -> np.ndarray:
         available = {i: s for i, s in enumerate(span.shards) if s is not None}

@@ -114,6 +114,13 @@ class TestReedSolomon:
         assert ReedSolomon(4, 2).storage_overhead == pytest.approx(1.5)
         assert ReedSolomon(8, 2).storage_overhead == pytest.approx(1.25)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_k1_parity_is_plain_copies(self, m):
+        """k = 1 is replication: every parity shard is the data itself."""
+        x = np.random.default_rng(m).integers(0, 256, (1, 64)).astype(np.uint8)
+        parity = ReedSolomon(1, m).encode(x)
+        assert np.array_equal(parity, np.repeat(x, m, axis=0))
+
     @settings(max_examples=50, deadline=None)
     @given(
         k=st.integers(2, 8),

@@ -1,16 +1,12 @@
-"""Integration tests for the fault-tolerant stores + recovery orchestration."""
+"""Integration tests for the fault-tolerant span store + recovery orchestration."""
 
 import numpy as np
 import pytest
 
-from repro.ft.erasure import DataLoss as ECDataLoss
-from repro.ft.erasure import ErasureCodedStore
-from repro.ft.recovery import RecoveryOrchestrator
-from repro.ft.replication import DataLoss as ReplDataLoss
-from repro.ft.replication import ReplicatedStore
-from repro.ft.striping import StripedStore
+from repro.ft import DataLoss, ErasureCodedStore, RecoveryOrchestrator
 from repro.hardware import Cluster
 from repro.memory.manager import MemoryManager
+from repro.memory.properties import MemoryProperties
 
 KiB = 1024
 
@@ -34,6 +30,15 @@ def payload(n, seed=0):
 
 
 FARS = [f"far{i}" for i in range(8)]
+
+#: (k, m) points on the overhead-versus-repair curve: 3-way replication,
+#: single-parity striping, plain striping and RS(4+2).
+CODES = [(1, 2), (4, 1), (4, 0), (4, 2)]
+REDUNDANT = [code for code in CODES if code[1] > 0]
+
+
+def code_id(code):
+    return f"k{code[0]}m{code[1]}"
 
 
 class TestErasureCodedStore:
@@ -103,7 +108,7 @@ class TestErasureCodedStore:
         for d in span.devices[:3]:
             cluster.crash_node(cluster.node_of(d))
         store.note_device_failures()
-        with pytest.raises(ECDataLoss):
+        with pytest.raises(DataLoss):
             run(cluster, store.get("obj"))
 
     def test_memory_overhead_near_codec_rate(self, env):
@@ -162,86 +167,117 @@ class TestErasureCodedStore:
         with pytest.raises(ValueError):
             ErasureCodedStore(cluster, mm, FARS[:3], home="dram0", k=4, m=2)
 
-
-class TestReplicatedStore:
-    def make(self, cluster, mm, copies=2):
-        return ReplicatedStore(cluster, mm, FARS, home="dram0", copies=copies)
-
-    def test_put_get_roundtrip(self, env):
+    def test_error_counts_failure_domains_not_devices(self, env):
         cluster, mm = env
-        store = self.make(cluster, mm)
-        data = payload(8 * KiB, seed=9)
-        run(cluster, store.put("obj", data))
-        assert np.array_equal(run(cluster, store.get("obj")), data)
+        with pytest.raises(ValueError, match="got 3$"):
+            ErasureCodedStore(cluster, mm, FARS[:3] * 2, home="dram0", k=4, m=2)
 
-    def test_replicas_on_distinct_domains(self, env):
+    def test_fresh_stores_name_their_first_span_alike(self, env):
+        """Span ids are per store, so region names do not depend on
+        what ran earlier in the process."""
         cluster, mm = env
-        store = self.make(cluster, mm, copies=3)
-        rs = run(cluster, store.put("obj", payload(KiB)))
-        assert len({cluster.node_of(d) for d in rs.replicas}) == 3
-
-    def test_overhead_equals_copies(self, env):
-        cluster, mm = env
-        store = self.make(cluster, mm, copies=3)
-        run(cluster, store.put("obj", payload(8 * KiB)))
-        assert store.memory_overhead() == pytest.approx(3.0)
-
-    def test_crash_then_recover_restores_replication(self, env):
-        cluster, mm = env
-        store = self.make(cluster, mm)
-        data = payload(8 * KiB, seed=11)
-        rs = run(cluster, store.put("obj", data))
-        victim = list(rs.replicas)[0]
-        cluster.crash_node(cluster.node_of(victim))
-        assert store.note_device_failures() == 1
-        rebuilt = run(cluster, store.recover())
-        assert rebuilt == 1
-        assert len(rs.healthy_devices) == 2
-        assert np.array_equal(run(cluster, store.get("obj")), data)
-
-    def test_all_replicas_lost_is_data_loss(self, env):
-        cluster, mm = env
-        store = self.make(cluster, mm)
-        rs = run(cluster, store.put("obj", payload(KiB)))
-        for device in list(rs.replicas):
-            cluster.crash_node(cluster.node_of(device))
-        store.note_device_failures()
-        with pytest.raises(ReplDataLoss):
-            run(cluster, store.get("obj"))
-
-    def test_delete_frees_regions(self, env):
-        cluster, mm = env
-        store = self.make(cluster, mm)
-        run(cluster, store.put("obj", payload(KiB)))
-        store.delete("obj")
-        assert mm.live_regions() == []
-
-    def test_invalid_copies_rejected(self, env):
-        cluster, mm = env
-        with pytest.raises(ValueError):
-            self.make(cluster, mm, copies=0)
+        names = []
+        for _ in range(2):
+            store = self.make(cluster, mm)
+            span = run(cluster, store.put("obj", payload(KiB)))
+            names.append(span.regions[0].name)
+        assert names[0] == names[1] == "span0@far0"
 
 
-class TestStripedStore:
-    def make(self, cluster, mm, parity=True):
-        return StripedStore(
-            cluster, mm, FARS[:5], home="dram0",
-            page_size=4 * KiB, parity=parity,
+class TestSpanCodes:
+    """Replication (k = 1) and striping (m <= 1) are spans with other (k, m)."""
+
+    SHARD = 4 * KiB
+
+    def make(self, cluster, mm, code, shard_size=SHARD):
+        k, m = code
+        return ErasureCodedStore(
+            cluster, mm, FARS, home="dram0", k=k, m=m, shard_size=shard_size,
         )
 
-    def test_put_get_roundtrip(self, env):
+    @pytest.mark.parametrize("code", CODES, ids=code_id)
+    def test_put_get_roundtrip(self, env, code):
         cluster, mm = env
-        store = self.make(cluster, mm)
-        data = payload(30 * KiB, seed=20)
-        run(cluster, store.put("obj", data))
+        store = self.make(cluster, mm, code)
+        objects = {f"o{i}": payload(code[0] * self.SHARD - 100 * i, seed=i)
+                   for i in range(3)}
+        for name, data in objects.items():
+            run(cluster, store.put(name, data))
+        for name, data in objects.items():
+            assert np.array_equal(run(cluster, store.get(name)), data)
+
+    @pytest.mark.parametrize("code", CODES, ids=code_id)
+    def test_shards_on_distinct_failure_domains(self, env, code):
+        cluster, mm = env
+        store = self.make(cluster, mm, code)
+        span = run(cluster, store.put("obj", payload(KiB)))
+        assert len({cluster.node_of(d) for d in span.devices}) == sum(code)
+
+    @pytest.mark.parametrize("code", CODES, ids=code_id)
+    def test_memory_overhead_is_code_rate(self, env, code):
+        cluster, mm = env
+        k, m = code
+        store = self.make(cluster, mm, code)
+        run(cluster, store.put("obj", payload(k * self.SHARD, seed=6)))
+        assert store.memory_overhead() == pytest.approx((k + m) / k)
+
+    @pytest.mark.parametrize("code", REDUNDANT, ids=code_id)
+    def test_crash_then_recover(self, env, code):
+        cluster, mm = env
+        store = self.make(cluster, mm, code)
+        data = payload(code[0] * self.SHARD, seed=11)
+        span = run(cluster, store.put("obj", data))
+        victim = cluster.node_of(span.devices[0])
+        cluster.crash_node(victim)
+        assert store.note_device_failures() == 1
+        assert run(cluster, store.recover()) == 1
+        assert span.lost_shards == []
+        assert victim not in {cluster.node_of(d) for d in span.devices}
         assert np.array_equal(run(cluster, store.get("obj")), data)
 
-    def test_striped_read_faster_than_single_device(self, env):
-        """The point of striping: aggregate bandwidth across nodes."""
+    @pytest.mark.parametrize("code", CODES, ids=code_id)
+    def test_more_than_m_losses_is_data_loss(self, env, code):
         cluster, mm = env
-        store = self.make(cluster, mm, parity=False)
-        data = payload(256 * KiB, seed=21)
-        run(cluster, store.put("obj", data))
+        store = self.make(cluster, mm, code)
+        span = run(cluster, store.put("obj", payload(KiB)))
+        for device in span.devices[: code[1] + 1]:
+            cluster.crash_node(cluster.node_of(device))
+        store.note_device_failures()
+        assert run(cluster, store.recover()) == 0
+        with pytest.raises(DataLoss):
+            run(cluster, store.get("obj"))
+
+    @pytest.mark.parametrize("code", CODES, ids=code_id)
+    def test_delete_frees_regions(self, env, code):
+        cluster, mm = env
+        store = self.make(cluster, mm, code)
+        for name in ("a", "b"):
+            run(cluster, store.put(name, payload(KiB)))
+        store.delete("a")
+        assert len(mm.live_regions()) == sum(code)  # "b" keeps the span
+        store.delete("b")
+        assert mm.live_regions() == []
+        assert store.spans == []
+
+    @pytest.mark.parametrize("code", CODES, ids=code_id)
+    def test_too_few_failure_domains_rejected(self, env, code):
+        cluster, mm = env
+        k, m = code
+        with pytest.raises(ValueError):
+            ErasureCodedStore(cluster, mm, FARS[: k + m - 1], home="dram0",
+                              k=k, m=m)
+
+    def test_invalid_code_rejected(self, env):
+        cluster, mm = env
+        for k, m in ((0, 2), (1, -1)):
+            with pytest.raises(ValueError):
+                ErasureCodedStore(cluster, mm, FARS, home="dram0", k=k, m=m)
+
+    def test_striped_read_faster_than_single_device(self, env):
+        """The point of striping (m = 0): aggregate bandwidth across nodes."""
+        cluster, mm = env
+        store = self.make(cluster, mm, (4, 0), shard_size=64 * KiB)
+        run(cluster, store.put("obj", payload(256 * KiB, seed=21)))
         t0 = cluster.engine.now
         run(cluster, store.get("obj"))
         striped_time = cluster.engine.now - t0
@@ -250,37 +286,6 @@ class TestStripedStore:
         run(cluster, _null_gen(cluster.transfer("far0", "dram0", 256 * KiB)))
         single_time = cluster.engine.now - t0
         assert striped_time < single_time
-
-    def test_parity_recovers_single_device_loss(self, env):
-        cluster, mm = env
-        store = self.make(cluster, mm, parity=True)
-        data = payload(16 * KiB, seed=22)
-        stripe = run(cluster, store.put("obj", data))
-        victim_device = stripe.pages[0][0]
-        cluster.crash_node(cluster.node_of(victim_device))
-        store.note_device_failures()
-        rebuilt = run(cluster, store.recover())
-        assert rebuilt >= 1
-        assert not stripe.lost
-        assert np.array_equal(run(cluster, store.get("obj")), data)
-
-    def test_no_parity_loss_is_fatal(self, env):
-        from repro.ft.striping import DataLoss as StripeDataLoss
-
-        cluster, mm = env
-        store = self.make(cluster, mm, parity=False)
-        stripe = run(cluster, store.put("obj", payload(16 * KiB)))
-        cluster.crash_node(cluster.node_of(stripe.pages[0][0]))
-        store.note_device_failures()
-        with pytest.raises(StripeDataLoss):
-            run(cluster, store.get("obj"))
-
-    def test_validation(self, env):
-        cluster, mm = env
-        with pytest.raises(ValueError):
-            StripedStore(cluster, mm, FARS[:1], home="dram0")
-        with pytest.raises(ValueError):
-            StripedStore(cluster, mm, FARS[:2], home="dram0", parity=True)
 
 
 class TestRecoveryOrchestrator:
@@ -304,6 +309,33 @@ class TestRecoveryOrchestrator:
         assert orchestrator.stats.shards_rebuilt == 1
         assert orchestrator.stats.mean_repair_time_ns > 0
         assert span.lost_shards == []
+
+    def test_unplaceable_span_stays_degraded_and_repair_goes_on(self, env):
+        """A span with no room for its replacement shard must not abort
+        the repair of the spans after it."""
+        cluster, mm = env
+        store = ErasureCodedStore(
+            cluster, mm, FARS[:3], home="dram0", k=1, m=1, shard_size=4 * KiB
+        )
+        orchestrator = RecoveryOrchestrator(cluster, [store], detection_delay_ns=0.0)
+        objects = {f"o{i}": payload(4 * KiB, seed=i) for i in range(2)}
+        for name, data in objects.items():
+            run(cluster, store.put(name, data))
+        stuck, fixable = store.spans
+        assert stuck.devices == ["far0", "far1"]
+        assert fixable.devices == ["far2", "far0"]
+        # Fill far2, the only domain that could take stuck's lost shard.
+        mm.allocate_on("far2", mm.allocators["far2"].largest_free_extent,
+                       MemoryProperties(), owner="filler")
+        cluster.crash_node("memnode0")
+        cluster.engine.run()
+        assert orchestrator.stats.unrecoverable == 0
+        assert orchestrator.stats.shards_rebuilt == 1
+        assert stuck.lost_shards == [0]
+        assert fixable.lost_shards == []
+        assert fixable.devices == ["far2", "far1"]
+        for name, data in objects.items():
+            assert np.array_equal(run(cluster, store.get(name)), data)
 
     def test_detection_delay_validated(self, env):
         cluster, mm = env
