@@ -144,8 +144,6 @@ class Session:
         self.driver = driver
         #: True once :meth:`close` has finalized the run.
         self.closed = False
-        #: The end-of-run dashboard rendered by :meth:`close`.
-        self.final_dashboard: typing.Optional[str] = None
 
     # -- plumbing accessors ----------------------------------------------
 
@@ -317,25 +315,24 @@ class Session:
         return self.driver.tenant_report()
 
     def dashboard(self, job: typing.Optional[str] = None) -> str:
-        """The run's text dashboard (jobs, attribution, SLOs, tenants)."""
-        from repro.obs.dashboard import render_dashboard
-
-        return render_dashboard(self.obs.data(), job=job)
+        """The run's text dashboard (jobs, attribution, SLOs, tenants),
+        rendered from the live state; after :meth:`close` that is the
+        finalized run."""
+        return self.obs.dashboard(job)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Finalize the run: flush telemetry, render the last dashboard.
+        """Finalize the run's telemetry.
 
         The telemetry hub takes its final poll and still-open alert
         spans are closed (an unresolved breach stays visible in the
-        data); the end-of-run dashboard is kept on
-        :attr:`final_dashboard`.  Idempotent.
+        data).  Nothing is rendered or serialised here: read the
+        end-of-run report with :meth:`dashboard`.  Idempotent.
         """
         if self.closed:
             return
         self.obs.telemetry.finalize(self.rts.cluster.engine.now)
-        self.final_dashboard = self.dashboard()
         self.closed = True
 
     def __enter__(self) -> "Session":

@@ -138,8 +138,6 @@ class FederatedSession:
         self._next_seed = 0
         #: True once :meth:`close` has finalized the run.
         self.closed = False
-        #: The end-of-run dashboard rendered by :meth:`close`.
-        self.final_dashboard: typing.Optional[str] = None
 
     # -- membership --------------------------------------------------------
 
@@ -483,10 +481,9 @@ class FederatedSession:
         }
 
     def dashboard(self) -> str:
-        """The federation's text dashboard (routing + per-rack gauges)."""
-        from repro.obs.dashboard import render_dashboard
-
-        return render_dashboard(self.obs.data())
+        """The federation's text dashboard (routing + per-rack gauges),
+        rendered from the live state."""
+        return self.obs.dashboard()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -494,16 +491,15 @@ class FederatedSession:
         """Finalize the run on every rack and the federation hub.
 
         Each rack's telemetry hub takes its final poll and closes its
-        open alert spans, then the federation-level hub does the same;
-        the end-of-run dashboard lands on :attr:`final_dashboard`.
-        Idempotent.
+        open alert spans, then the federation-level hub does the same.
+        Nothing is rendered or serialised here: read the end-of-run
+        report with :meth:`dashboard`.  Idempotent.
         """
         if self.closed:
             return
         for rack in self._all_racks:
             rack.obs.telemetry.finalize(self.engine.now)
         self.obs.telemetry.finalize(self.engine.now)
-        self.final_dashboard = self.dashboard()
         self.closed = True
 
     def __enter__(self) -> "FederatedSession":

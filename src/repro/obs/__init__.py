@@ -47,7 +47,7 @@ from repro.obs.metrics import (
 from repro.obs.slo import SloTracker
 from repro.obs.span import NOOP_SPAN, Span
 from repro.obs.telemetry import BurnRateRule, TelemetryHub, WindowedSeries
-from repro.sim.trace import TraceLog
+from repro.sim.trace import AllExcept, TraceEvent, TraceLog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -100,14 +100,15 @@ class Observability:
 
     def disable(self, *categories: str) -> None:
         """Disable the given categories (no args: disable everything)."""
+        enabled = self.trace.enabled
         if not categories:
             self.trace.enabled = set()
-            return
-        if self.trace.enabled is None:
-            # All were on; there is no closed-world set to subtract from,
-            # so record the complement lazily via known categories.
-            self.trace.enabled = set(self.trace.categories())
-        self.trace.enabled -= set(categories)
+        elif enabled is None:
+            self.trace.enabled = AllExcept(categories)
+        elif isinstance(enabled, AllExcept):
+            self.trace.enabled = AllExcept(enabled.excluded | set(categories))
+        else:
+            self.trace.enabled = enabled - set(categories)
 
     # -- events / spans ----------------------------------------------------
 
@@ -162,6 +163,10 @@ class Observability:
 
     def data(self) -> dict:
         """The live run in the dashboard/JSONL interchange shape."""
+        return self._interchange(self.trace.events)
+
+    def _interchange(self, events: typing.Iterable[TraceEvent]) -> dict:
+        """The interchange dict with ``events`` as its event list."""
         from repro.obs.export import event_record
 
         return {
@@ -172,7 +177,7 @@ class Observability:
                     c: self.trace.retained(c) for c in self.trace.categories()
                 },
             },
-            "events": [event_record(e) for e in self.trace.events],
+            "events": [event_record(e) for e in events],
             "metrics": self.registry.snapshot(),
             "causal": self.causal.data(),
             "slo": self.slo.snapshot(),
@@ -193,10 +198,17 @@ class Observability:
         write_chrome_trace(path, self.trace, causal=self.causal.data())
 
     def dashboard(self, job: typing.Optional[str] = None) -> str:
-        """Render the live run's text dashboard."""
-        from repro.obs.dashboard import render_dashboard
+        """Render the live run's text dashboard.
 
-        return render_dashboard(self.data(), job=job)
+        Equal to ``render_dashboard(self.data(), job=job)``, but only
+        the trace categories the renderer reads are serialised.
+        """
+        from repro.obs.dashboard import EVENT_CATEGORIES, render_dashboard
+
+        events = [
+            e for c in EVENT_CATEGORIES for e in self.trace.by_category(c)
+        ]
+        return render_dashboard(self._interchange(events), job=job)
 
 
 __all__ = [

@@ -96,6 +96,12 @@ def _metric_value(metrics: dict, name: str, default: float = 0.0) -> float:
     return float(snap.get("value", default))
 
 
+#: The trace categories whose events :func:`render_dashboard` reads
+#: (``job``/``run`` spans, for the job table);
+#: :meth:`repro.obs.Observability.dashboard` serialises only these.
+EVENT_CATEGORIES = ("job",)
+
+
 def render_dashboard(
     data: dict,
     job: typing.Optional[str] = None,
@@ -312,7 +318,9 @@ def render_dashboard(
     for name in metrics:
         if name.startswith("link.bytes/"):
             link_rows.append((name.split("/", 1)[1], _metric_value(metrics, name)))
-    link_rows.sort(key=lambda kv: -kv[1])
+    # Ties by name: the live registry and a JSONL export hold metrics
+    # in different orders.
+    link_rows.sort(key=lambda kv: (-kv[1], kv[0]))
     for link_name, nbytes in link_rows:
         links.add_row(link_name, format_bytes(nbytes))
     if link_rows:

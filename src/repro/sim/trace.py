@@ -89,14 +89,32 @@ class _Ring:
         self.capacity = capacity
 
 
+class AllExcept:
+    """Every trace category but ``excluded``: the :attr:`TraceLog.enabled`
+    filter after disabling some categories while all were on."""
+
+    __slots__ = ("excluded",)
+
+    def __init__(self, excluded: typing.Iterable[str]):
+        self.excluded = frozenset(excluded)
+
+    def __contains__(self, category: str) -> bool:
+        return category not in self.excluded
+
+    def __repr__(self) -> str:
+        return f"AllExcept({sorted(self.excluded)!r})"
+
+
 class TraceLog:
     """A bounded, queryable log of :class:`TraceEvent` records.
 
     Categories can be filtered at emission time to keep long simulations
-    cheap: ``TraceLog(enabled={"scheduler", "placement"})``.  Each
-    category is retained in its own ring buffer of ``capacity`` events;
-    wrapped-over events are counted in :attr:`dropped` rather than kept,
-    so memory stays bounded no matter how long the run.
+    cheap: ``TraceLog(enabled={"scheduler", "placement"})``.  ``enabled``
+    is ``None`` (record everything), a set of recorded categories, or an
+    :class:`AllExcept` of the ones left out.  Each category is retained
+    in its own ring buffer of ``capacity`` events; wrapped-over events
+    are counted in :attr:`dropped` rather than kept, so memory stays
+    bounded no matter how long the run.
     """
 
     def __init__(

@@ -23,11 +23,13 @@ sys.path.insert(
 import obs_report  # noqa: E402
 
 
-@pytest.fixture
-def traced_run():
-    """A real job run with every relevant category recording."""
+TRACED = ("job", "task", "profile", "flow", "placement", "sched")
+
+
+def run_pipeline(*categories):
+    """A real two-task job run recording ``categories``."""
     cluster = Cluster.preset("pooled-rack")
-    cluster.obs.enable("job", "task", "profile", "flow", "placement", "sched")
+    cluster.obs.enable(*categories)
     session = connect(cluster=cluster)
     job = Job("pipe")
     a = job.add_task(Task("produce", work=WorkSpec(
@@ -38,6 +40,12 @@ def traced_run():
     stats = session.run(job)
     assert stats.ok
     return cluster
+
+
+@pytest.fixture
+def traced_run():
+    """A real job run with every relevant category recording."""
+    return run_pipeline(*TRACED)
 
 
 class TestJsonlRoundTrip:
@@ -161,6 +169,24 @@ class TestDashboard:
 
     def test_empty_data_placeholder(self):
         assert render_dashboard({}) == "(no observability data recorded)"
+
+    def test_job_ring_render_equals_full_render(self, traced_run):
+        # The live dashboard serialises only the job ring; every other
+        # category it leaves out must not change the text.
+        obs = traced_run.obs
+        assert len(obs.trace.categories()) >= 3
+        for job in (None, "pipe"):
+            assert obs.dashboard(job=job) == render_dashboard(obs.data(),
+                                                              job=job)
+
+    def test_live_equals_offline_render(self, tmp_path):
+        # Regression: equal-byte link rows kept the registry's insertion
+        # order live but name order from a JSONL export.
+        cluster = run_pipeline(*TRACED, "causal")
+        path = tmp_path / "run.jsonl"
+        cluster.obs.export_jsonl(str(path))
+        assert cluster.obs.dashboard() == render_dashboard(
+            load_jsonl(str(path)))
 
 
 class TestObsReportCli:

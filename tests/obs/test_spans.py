@@ -126,6 +126,26 @@ class TestDisabledPath:
             pass
         assert len(obs.trace) == 0
 
+    def test_disable_some_while_all_on_keeps_the_rest(self):
+        # Regression: disabling one category while all were on switched
+        # off every category, since the complement was built from the
+        # categories that had already emitted.
+        obs = Observability()
+        obs.disable("flow")
+        assert not obs.on("flow")
+        assert obs.on("job") and obs.on("never-emitted")
+        obs.event("flow", "xfer")
+        obs.event("job", "run")
+        assert [e.category for e in obs.trace.events] == ["job"]
+        obs.disable("job")
+        assert not obs.on("job") and not obs.on("flow")
+        assert obs.on("task")
+
+    def test_disable_subtracts_from_an_enabled_set(self, obs):
+        obs.enable("a", "b")
+        obs.disable("a")
+        assert obs.on("b") and not obs.on("a") and not obs.on("c")
+
     def test_enable_disable_roundtrip(self, obs):
         obs.disable()
         assert not obs.on("cat")

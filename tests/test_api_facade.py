@@ -3,6 +3,8 @@ way to submit work."""
 
 import pytest
 
+import repro.obs.dashboard
+import repro.obs.export
 from repro import connect
 from repro.api import Session
 from repro.apps import (
@@ -83,8 +85,7 @@ class TestContextManager:
         with connect("pooled-rack") as session:
             session.run(pipeline())
         assert session.closed
-        assert session.final_dashboard is not None
-        assert "Jobs" in session.final_dashboard
+        assert "Jobs" in session.dashboard()
         # Telemetry was finalized: open alert spans were flushed.
         assert session.obs.telemetry.finalized
 
@@ -92,9 +93,37 @@ class TestContextManager:
         session = connect("pooled-rack")
         session.run(pipeline())
         session.close()
-        first = session.final_dashboard
+        first = session.dashboard()
         session.close()
-        assert session.final_dashboard is first
+        assert session.dashboard() == first
+
+    def test_close_renders_and_serialises_nothing(self, monkeypatch):
+        calls = {"event_record": 0, "render_dashboard": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            repro.obs.export, "event_record",
+            counting("event_record", repro.obs.export.event_record))
+        monkeypatch.setattr(
+            repro.obs.dashboard, "render_dashboard",
+            counting("render_dashboard",
+                     repro.obs.dashboard.render_dashboard))
+        session = connect("pooled-rack")
+        session.run(pipeline())
+        fed = connect("pooled-rack", racks=2)
+        fed.submit(pipeline())
+        fed.run()
+        session.close()
+        fed.close()
+        assert calls == {"event_record": 0, "render_dashboard": 0}
+        session.dashboard()
+        assert calls["render_dashboard"] == 1
+        assert calls["event_record"] > 0
 
     def test_exit_closes_even_on_error(self):
         with pytest.raises(RuntimeError, match="mid-task crash"):
@@ -107,7 +136,7 @@ class TestContextManager:
             fed.submit(pipeline())
             fed.run()
         assert fed.closed
-        assert fed.final_dashboard is not None
+        assert "Federation racks" in fed.dashboard()
         for rack in fed.racks:
             assert rack.obs.telemetry.finalized
 
