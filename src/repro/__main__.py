@@ -77,16 +77,13 @@ def cmd_topo(args) -> int:
     table = Table(["endpoint A", "endpoint B", "technology", "bandwidth",
                    "latency"],
                   title=f"Fabric of {args.preset!r}")
-    for u, v, data in sorted(cluster.topology.graph.edges(data=True)):
-        link = data["link"]
-        table.add_row(u, v, data["kind"].value,
+    topo = cluster.topology
+    for u, v, link in sorted(topo.edges(), key=lambda edge: edge[:2]):
+        table.add_row(u, v, topo.link_kind(link).value,
                       f"{link.bandwidth:.1f} GB/s", format_ns(link.latency))
     print(table)
-    roles = {}
-    for node, data in cluster.topology.graph.nodes(data=True):
-        roles.setdefault(data["role"], []).append(node)
     for role in ("compute", "memory", "switch"):
-        print(f"{role:>8}: {', '.join(sorted(roles.get(role, [])))}")
+        print(f"{role:>8}: {', '.join(sorted(topo.nodes(role)))}")
     return 0
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import typing
 from itertools import count
 
-import networkx as nx
-
 from repro.dataflow.properties import TaskProperties
 from repro.dataflow.workspec import WorkSpec
 
@@ -54,13 +52,13 @@ class Task:
         """Direct predecessors of this task in the job DAG."""
         if self.job is None:
             return []
-        return [self.job.tasks[n] for n in self.job.graph.predecessors(self.name)]
+        return [self.job.tasks[n] for n in self.job._pred[self.name]]
 
     def downstream(self) -> typing.List["Task"]:
         """Direct successors of this task in the job DAG."""
         if self.job is None:
             return []
-        return [self.job.tasks[n] for n in self.job.graph.successors(self.name)]
+        return [self.job.tasks[n] for n in self.job._succ[self.name]]
 
     def __repr__(self) -> str:
         return f"<Task {self.qualified_name}>"
@@ -86,7 +84,9 @@ class Job:
         self.id = next(Job._ids)
         self.name = name
         self.tasks: typing.Dict[str, Task] = {}
-        self.graph = nx.DiGraph()
+        #: task name -> downstream / upstream task names, in edge order.
+        self._succ: typing.Dict[str, typing.List[str]] = {}
+        self._pred: typing.Dict[str, typing.List[str]] = {}
         #: Size of the job's Global State region (Table 2); 0 = none.
         self.global_state_size = global_state_size
         #: Tenancy annotations (None = decided at submission: the
@@ -107,11 +107,14 @@ class Job:
             raise ValidationError(f"task {task.name!r} already belongs to {task.job.name!r}")
         task.job = self
         self.tasks[task.name] = task
-        self.graph.add_node(task.name)
+        self._succ[task.name] = []
+        self._pred[task.name] = []
         return task
 
     def connect(self, upstream: typing.Union[str, Task], downstream: typing.Union[str, Task]) -> None:
-        """Add a dataflow edge: upstream's output feeds downstream's input."""
+        """Add a dataflow edge: upstream's output feeds downstream's input.
+
+        Connecting the same pair twice keeps one edge."""
         up = upstream.name if isinstance(upstream, Task) else upstream
         down = downstream.name if isinstance(downstream, Task) else downstream
         for name in (up, down):
@@ -119,29 +122,44 @@ class Job:
                 raise ValidationError(f"unknown task {name!r} in job {self.name!r}")
         if up == down:
             raise ValidationError(f"self-loop on task {up!r}")
-        self.graph.add_edge(up, down)
+        if down not in self._succ[up]:
+            self._succ[up].append(down)
+            self._pred[down].append(up)
 
     # -- queries -----------------------------------------------------------
 
     def sources(self) -> typing.List[Task]:
         """Tasks with no upstream edges."""
-        return [self.tasks[n] for n in self.graph.nodes if self.graph.in_degree(n) == 0]
+        return [self.tasks[n] for n, preds in self._pred.items() if not preds]
 
     def sinks(self) -> typing.List[Task]:
         """Tasks with no downstream edges."""
-        return [self.tasks[n] for n in self.graph.nodes if self.graph.out_degree(n) == 0]
+        return [self.tasks[n] for n, succs in self._succ.items() if not succs]
 
     def topological_order(self) -> typing.List[Task]:
         """Tasks in a dependency-respecting order (raises on cycles)."""
-        try:
-            order = list(nx.topological_sort(self.graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise ValidationError(f"job {self.name!r} contains a cycle") from exc
+        order = self._kahn()
+        if len(order) < len(self.tasks):
+            raise ValidationError(f"job {self.name!r} contains a cycle")
         return [self.tasks[n] for n in order]
+
+    def _kahn(self) -> typing.List[str]:
+        """Kahn's algorithm by generations: the sources in insertion
+        order, then each task as its last upstream is ordered.  Tasks on
+        or downstream of a cycle are left out."""
+        indegree = {n: len(preds) for n, preds in self._pred.items()}
+        order = [n for n, d in indegree.items() if d == 0]
+        for node in order:  # grows while iterated: one generation after another
+            for child in self._succ[node]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    order.append(child)
+        return order
 
     def edges(self) -> typing.List[typing.Tuple[Task, Task]]:
         """All dataflow edges as (upstream task, downstream task) pairs."""
-        return [(self.tasks[u], self.tasks[v]) for u, v in self.graph.edges]
+        return [(self.tasks[u], self.tasks[v])
+                for u, succs in self._succ.items() for v in succs]
 
     # -- validation ----------------------------------------------------
 
@@ -149,9 +167,13 @@ class Job:
         """Raise :class:`ValidationError` on structural problems."""
         if not self.tasks:
             raise ValidationError(f"job {self.name!r} has no tasks")
-        if not nx.is_directed_acyclic_graph(self.graph):
-            cycle = nx.find_cycle(self.graph)
-            raise ValidationError(f"job {self.name!r} contains a cycle: {cycle}")
+        ordered = set(self._kahn())
+        if len(ordered) < len(self.tasks):
+            stuck = [n for n in self.tasks if n not in ordered]
+            raise ValidationError(
+                f"job {self.name!r} contains a cycle: tasks {stuck} "
+                f"can never become ready"
+            )
 
         # Global-scratch slots must be published before consumption and
         # published exactly once.
@@ -174,9 +196,7 @@ class Job:
 
         # A task expecting input must have at least one upstream edge.
         for task in self.tasks.values():
-            if task.work.input_usage is not None and not list(
-                self.graph.predecessors(task.name)
-            ):
+            if task.work.input_usage is not None and not self._pred[task.name]:
                 raise ValidationError(
                     f"task {task.name!r} declares input usage but has no upstream"
                 )
@@ -190,4 +210,4 @@ class Job:
         return slots
 
     def __repr__(self) -> str:
-        return f"<Job {self.name!r}: {len(self.tasks)} tasks, {self.graph.number_of_edges()} edges>"
+        return f"<Job {self.name!r}: {len(self.tasks)} tasks, {len(self.edges())} edges>"

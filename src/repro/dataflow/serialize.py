@@ -90,7 +90,7 @@ def job_to_dict(job: Job) -> dict:
             }
             for task in job.topological_order()
         ],
-        "edges": [[u, v] for u, v in job.graph.edges],
+        "edges": [[u.name, v.name] for u, v in job.edges()],
     }
 
 

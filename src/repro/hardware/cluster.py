@@ -480,9 +480,9 @@ class Cluster:
             elif name in self.compute:
                 self.compute[name].fail()
         # Take down all fabric links touching the node's devices.
-        for u, v, data in self.topology.graph.edges(data=True):
+        for u, v, link in self.topology.edges():
             if u in members or v in members:
-                self.flownet.fail_link(data["link"])
+                self.flownet.fail_link(link)
         self.topology.invalidate_routes()
 
     def _on_node_restart(self, fault: FaultEvent) -> None:
@@ -512,10 +512,10 @@ class Cluster:
                 port = self.memory[name].port
                 self.flownet.fail_link(port)
                 self.flownet.restore_link(port)
-        for u, v, data in self.topology.graph.edges(data=True):
+        for u, v, link in self.topology.edges():
             if u in members or v in members:
-                self.flownet.fail_link(data["link"])
-                self.flownet.restore_link(data["link"])
+                self.flownet.fail_link(link)
+                self.flownet.restore_link(link)
         self.topology.invalidate_routes()
 
     def _on_link_down(self, fault: FaultEvent) -> None:

@@ -1,10 +1,10 @@
 """Interconnect fabric: topology graph + routing.
 
-The fabric is an undirected multigraph-free graph whose vertices are
-device or switch names and whose edges carry live
-:class:`~repro.sim.flows.Link` objects.  Routing uses latency-weighted
-shortest paths (networkx Dijkstra) with caching; routes answer the three
-questions the runtime keeps asking:
+The fabric is an undirected simple graph, kept as an adjacency dict,
+whose vertices are device or switch names and whose edges carry live
+:class:`~repro.sim.flows.Link` objects.  Routing is a latency-weighted
+heap Dijkstra with caching; routes answer the three questions the
+runtime keeps asking:
 
 * which links does a transfer between A and B cross (→ contention),
 * can compute device A issue loads/stores to memory B at all
@@ -15,9 +15,9 @@ questions the runtime keeps asking:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import typing
-
-import networkx as nx
 
 from repro.hardware.spec import (
     ADDRESSABLE_LINK_KINDS,
@@ -45,7 +45,9 @@ class Topology:
     """The interconnect graph of a cluster."""
 
     def __init__(self):
-        self.graph = nx.Graph()
+        #: node -> {neighbour: Link}, both in insertion order.
+        self._adj: typing.Dict[str, typing.Dict[str, Link]] = {}
+        self._roles: typing.Dict[str, str] = {}
         self._route_cache: dict = {}
         #: (src, dst) -> _PathRecord of the cached route; cleared with
         #: the route cache, so it always describes route(src, dst).
@@ -59,19 +61,20 @@ class Topology:
         """Add a vertex.  ``role`` is 'compute', 'memory' or 'switch'."""
         if role not in ("compute", "memory", "switch"):
             raise ValueError(f"unknown node role {role!r}")
-        if name in self.graph:
+        if name in self._adj:
             raise ValueError(f"duplicate topology node {name!r}")
-        self.graph.add_node(name, role=role)
+        self._adj[name] = {}
+        self._roles[name] = role
 
     def connect(self, a: str, b: str, spec: LinkSpec) -> Link:
         """Create a live link between existing nodes ``a`` and ``b``."""
         for endpoint in (a, b):
-            if endpoint not in self.graph:
+            if endpoint not in self._adj:
                 raise KeyError(f"unknown topology node {endpoint!r}")
-        if self.graph.has_edge(a, b):
+        if b in self._adj[a]:
             raise ValueError(f"nodes {a!r} and {b!r} are already connected")
         link = Link(spec.name, bandwidth=spec.bandwidth, latency=spec.latency)
-        self.graph.add_edge(a, b, link=link, kind=spec.kind)
+        self._adj[a][b] = self._adj[b][a] = link
         self._link_kinds[link.id] = spec.kind
         self.invalidate_routes()
         return link
@@ -81,16 +84,29 @@ class Topology:
     def nodes(self, role: typing.Optional[str] = None) -> list:
         """Vertex names, optionally filtered by role."""
         if role is None:
-            return list(self.graph.nodes)
-        return [n for n, data in self.graph.nodes(data=True) if data["role"] == role]
+            return list(self._adj)
+        return [n for n, r in self._roles.items() if r == role]
+
+    def edges(self) -> typing.List[typing.Tuple[str, str, Link]]:
+        """Every link once, as ``(u, v, link)``: nodes in insertion
+        order, each with its neighbours not yet listed as a node."""
+        out, seen = [], set()
+        for u, nbrs in self._adj.items():
+            out.extend((u, v, link) for v, link in nbrs.items() if v not in seen)
+            seen.add(u)
+        return out
 
     def links(self) -> list:
         """All live Link objects in the fabric."""
-        return [data["link"] for _, _, data in self.graph.edges(data=True)]
+        return [link for _, _, link in self.edges()]
+
+    def link_kind(self, link: Link) -> LinkKind:
+        """The technology of one of this fabric's links."""
+        return self._link_kinds[link.id]
 
     def link_between(self, a: str, b: str) -> Link:
         """The link directly connecting two adjacent vertices."""
-        return self.graph.edges[a, b]["link"]
+        return self._adj[a][b]
 
     def route(self, src: str, dst: str) -> typing.List[Link]:
         """Latency-minimal path from ``src`` to ``dst`` as a list of links.
@@ -107,17 +123,37 @@ class Topology:
         if src == dst:
             self._route_cache[key] = []
             return []
-        try:
-            # weight=None makes Dijkstra skip the edge entirely.
-            path = nx.shortest_path(
-                self.graph, src, dst,
-                weight=lambda a, b, data: (
-                    data["link"].latency + 1e-9 if data["link"].up else None
-                ),
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NoRouteError(f"no route from {src!r} to {dst!r}") from exc
-        links = [self.graph.edges[u, v]["link"] for u, v in zip(path, path[1:])]
+        if src not in self._adj or dst not in self._adj:
+            raise NoRouteError(f"no route from {src!r} to {dst!r}")
+        # Ties go to the first-pushed entry, and neighbours are relaxed
+        # in insertion order; a hop costs 1e-9 ns more than its latency
+        # so that zero-latency links still prefer fewer hops.
+        seq = itertools.count()
+        dist = {src: 0.0}
+        via: typing.Dict[str, typing.Tuple[str, Link]] = {}
+        heap = [(0.0, next(seq), src)]
+        while heap:
+            d, _, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue  # superseded by a shorter entry already popped
+            if node == dst:
+                break
+            for nbr, link in self._adj[node].items():
+                if not link.up:
+                    continue
+                nd = d + (link.latency + 1e-9)
+                if nd < dist.get(nbr, float("inf")):
+                    dist[nbr] = nd
+                    via[nbr] = (node, link)
+                    heapq.heappush(heap, (nd, next(seq), nbr))
+        else:
+            raise NoRouteError(f"no route from {src!r} to {dst!r}")
+        links = []
+        node = dst
+        while node != src:
+            node, link = via[node]
+            links.append(link)
+        links.reverse()
         self._route_cache[key] = links
         self._route_cache[(dst, src)] = list(reversed(links))
         return links
@@ -172,6 +208,6 @@ class Topology:
 
     def __repr__(self) -> str:
         return (
-            f"<Topology {self.graph.number_of_nodes()} nodes, "
-            f"{self.graph.number_of_edges()} links>"
+            f"<Topology {len(self._adj)} nodes, "
+            f"{len(self._link_kinds)} links>"
         )

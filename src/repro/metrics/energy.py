@@ -117,14 +117,15 @@ class EnergyMeter:
         self._start_time = cluster.engine.now
 
     def _snapshot(self) -> dict:
+        topology = self.cluster.topology
         return {
             "port_bytes": {
                 name: device.port.bytes_carried
                 for name, device in self.cluster.memory.items()
             },
             "link_bytes": [
-                (data["kind"], data["link"].bytes_carried)
-                for _u, _v, data in self.cluster.topology.graph.edges(data=True)
+                (topology.link_kind(link), link.bytes_carried)
+                for link in topology.links()
             ],
             "busy": {
                 name: device.busy_time

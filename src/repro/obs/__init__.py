@@ -6,8 +6,7 @@ when the runtime system hides performance-relevant details?"*  This
 package is the measurement substrate that makes every layer answerable:
 
 * a **metrics registry** (:mod:`repro.obs.metrics`) of counters, gauges,
-  time-weighted histograms, and bounded per-device utilization
-  timelines;
+  latency histograms, and bounded per-device utilization timelines;
 * **span-based tracing** (:mod:`repro.obs.span`) nesting
   job → task → region/phase → device scopes into the bounded
   per-category ring buffers of :class:`~repro.sim.trace.TraceLog`;
@@ -41,7 +40,6 @@ from repro.obs.metrics import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    TimeWeightedHistogram,
     Timeline,
 )
 from repro.obs.slo import SloTracker
@@ -153,9 +151,6 @@ class Observability:
     def gauge(self, name: str, fn=None) -> Gauge:
         return self.registry.gauge(name, fn)
 
-    def histogram(self, name: str, **kwargs) -> TimeWeightedHistogram:
-        return self.registry.histogram(name, **kwargs)
-
     def timeline(self, name: str, **kwargs) -> Timeline:
         return self.registry.timeline(name, **kwargs)
 
@@ -223,7 +218,6 @@ __all__ = [
     "SloTracker",
     "Span",
     "TelemetryHub",
-    "TimeWeightedHistogram",
     "Timeline",
     "WindowedSeries",
 ]

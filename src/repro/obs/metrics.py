@@ -1,11 +1,11 @@
 """The metrics half of the observability substrate.
 
-Counters, gauges, time-weighted histograms, and bounded utilization
+Counters, gauges, latency histograms, and bounded utilization
 timelines, held in a :class:`MetricsRegistry` so exporters and the text
 dashboard can walk everything a run recorded.  All metric types are
-bounded in memory by construction: counters/gauges are scalars,
-histograms accumulate per-bucket elapsed time, and timelines keep a ring
-of samples (plus exact time-weighted aggregates via
+bounded in memory by construction: counters/gauges are scalars, latency
+histograms count observations per log-scale bucket, and timelines keep a
+ring of samples (plus exact time-weighted aggregates via
 :class:`~repro.sim.trace.MetricRecorder`).
 """
 
@@ -15,9 +15,6 @@ import collections
 import typing
 
 from repro.sim.trace import MetricRecorder
-
-#: Default histogram bucket upper bounds (open-ended final bucket).
-DEFAULT_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 #: Log-scale latency bucket bounds in nanoseconds: 1µs .. ~17.6min in
 #: powers of two (open-ended final bucket).  Wide enough for anything a
@@ -68,114 +65,12 @@ class Gauge:
         return {"type": self.kind, "value": self.value}
 
 
-class TimeWeightedHistogram:
-    """How long a piecewise-constant signal dwelt in each level bucket.
-
-    ``observe(time, level)`` records a level change; the histogram
-    accumulates the *time spent* at each level band rather than a count
-    of observations — the right statistic for queue depths and
-    utilization signals in a discrete-event world.
-    """
-
-    __slots__ = ("name", "bounds", "elapsed_in", "_level", "_last_time", "recorder")
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        bounds: typing.Sequence[float] = DEFAULT_BOUNDS,
-        start_time: float = 0.0,
-    ):
-        if list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram bounds must be ascending: {bounds}")
-        self.name = name
-        self.bounds = tuple(bounds)
-        #: elapsed ns per bucket; index len(bounds) is the overflow bucket.
-        self.elapsed_in = [0.0] * (len(self.bounds) + 1)
-        self._level = 0.0
-        self._last_time = float(start_time)
-        self.recorder = MetricRecorder(start_time=start_time)
-
-    def _bucket(self, level: float) -> int:
-        for i, bound in enumerate(self.bounds):
-            if level <= bound:
-                return i
-        return len(self.bounds)
-
-    def observe(self, time: float, level: float) -> None:
-        """The signal changes to ``level`` at ``time``."""
-        dt = time - self._last_time
-        if dt < 0:
-            raise ValueError(f"time went backwards: {time} < {self._last_time}")
-        self.elapsed_in[self._bucket(self._level)] += dt
-        self._last_time = time
-        self._level = float(level)
-        self.recorder.record(time, level)
-
-    def adjust(self, time: float, delta: float) -> None:
-        self.observe(time, self._level + delta)
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def time_in_buckets(self) -> typing.Dict[str, float]:
-        """``{"<=bound": elapsed, ..., ">last": elapsed}``."""
-        out = {}
-        for bound, elapsed in zip(self.bounds, self.elapsed_in):
-            out[f"<={bound:g}"] = elapsed
-        out[f">{self.bounds[-1]:g}"] = self.elapsed_in[-1]
-        return out
-
-    def quantile(self, q: float) -> float:
-        """The level below which the signal dwelt for a ``q`` fraction of
-        observed time, linearly interpolated within its bucket.
-
-        Bucket ``i`` spans ``(bounds[i-1], bounds[i]]``; the first bucket
-        starts at the lowest level ever recorded and the overflow bucket
-        ends at the highest.  With no elapsed time yet, returns the
-        current level.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        total = sum(self.elapsed_in)
-        if total <= 0.0:
-            return self._level
-        floor = min(self.recorder.minimum, self.bounds[0])
-        ceiling = max(self.recorder.maximum, self.bounds[-1])
-        target = q * total
-        cumulative = 0.0
-        for i, elapsed in enumerate(self.elapsed_in):
-            if elapsed <= 0.0:
-                continue
-            lo = floor if i == 0 else self.bounds[i - 1]
-            hi = self.bounds[i] if i < len(self.bounds) else ceiling
-            if cumulative + elapsed >= target:
-                frac = (target - cumulative) / elapsed
-                return lo + (hi - lo) * max(0.0, min(1.0, frac))
-            cumulative += elapsed
-        return ceiling
-
-    def snapshot(self) -> dict:
-        return {
-            "type": self.kind,
-            "buckets": self.time_in_buckets(),
-            "mean": self.recorder.time_weighted_mean(),
-            "max": self.recorder.maximum,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
-
-
 class LatencyHistogram:
     """Count-based histogram of observed durations (log-scale buckets).
 
-    Unlike :class:`TimeWeightedHistogram` (which tracks how long a
-    *signal* dwelt at each level), this counts discrete observations —
-    the right statistic for per-job/per-request latencies — and answers
-    ``quantile(q)`` by linear interpolation within the winning bucket.
+    Counts discrete observations — the right statistic for
+    per-job/per-request latencies — and answers ``quantile(q)`` by
+    linear interpolation within the winning bucket.
     """
 
     __slots__ = ("name", "bounds", "counts", "total", "_sum", "_min", "_max")
@@ -352,12 +247,6 @@ class MetricsRegistry:
             gauge.fn = fn
         return gauge
 
-    def histogram(self, name: str, bounds=DEFAULT_BOUNDS, start_time: float = 0.0):
-        return self._get(
-            name, lambda: TimeWeightedHistogram(name, bounds, start_time),
-            "histogram",
-        )
-
     def timeline(self, name: str, max_samples: int = 1024, start_time: float = 0.0):
         return self._get(
             name, lambda: Timeline(name, max_samples, start_time), "timeline"
@@ -403,11 +292,8 @@ class MetricsRegistry:
             elif snap["type"] == "timeline":
                 value = (f"mean={snap['mean']:.3g} max={snap['max']:g} "
                          f"now={snap['level']:g}")
-            elif snap["type"] == "latency":
+            else:  # latency
                 value = (f"n={snap['count']} p50={snap['p50']:.3g} "
                          f"p95={snap['p95']:.3g} p99={snap['p99']:.3g}")
-            else:  # histogram
-                value = (f"mean={snap['mean']:.3g} max={snap['max']:g} "
-                         f"p95={snap['p95']:.3g}")
             table.add_row(name, snap["type"], value)
         return table.render()

@@ -22,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-import networkx as nx
-
 from repro.dataflow.graph import Job, Task
 from repro.dataflow.properties import TaskProperties
 from repro.dataflow.workspec import RegionUsage, WorkSpec
@@ -143,19 +141,17 @@ def prune_with_checkpoints(
     if not present:
         return job, 0
 
-    # Cut the in-edges of checkpointed tasks; whatever can no longer
-    # reach a sink fed only checkpointed paths and is dead lineage.
-    cut = nx.DiGraph(job.graph)
-    # Sinks of the *original* DAG: cutting edges must not promote dead
-    # ancestors into sinks of their own.
-    sinks = [n for n in job.graph.nodes if job.graph.out_degree(n) == 0]
-    for name in present:
-        for pred in list(cut.predecessors(name)):
-            cut.remove_edge(pred, name)
+    # Walk upstream from the sinks without expanding checkpointed tasks;
+    # whatever the walk never reaches fed only checkpointed paths and is
+    # dead lineage.
     alive: set = set()
-    for sink in sinks:
-        alive.add(sink)
-        alive |= nx.ancestors(cut, sink)
+    stack = [task.name for task in job.sinks()]
+    while stack:
+        name = stack.pop()
+        if name not in alive:
+            alive.add(name)
+            if name not in present:
+                stack.extend(up.name for up in job.tasks[name].upstream())
 
     pruned = Job(job.name, global_state_size=job.global_state_size)
     for name in job.tasks:
@@ -170,9 +166,11 @@ def prune_with_checkpoints(
                 properties=original.properties, fn=original.fn,
             )
             pruned.add_task(clone)
-    for u, v in cut.edges:
-        if u in pruned.tasks and v in pruned.tasks:
-            pruned.connect(u, v)
+    # A live, non-checkpointed task's upstream is live too; the in-edges
+    # of checkpointed tasks stay cut.
+    for up, down in job.edges():
+        if down.name in alive and down.name not in present:
+            pruned.connect(up.name, down.name)
     pruned.validate()
     return pruned, len(job.tasks) - len(pruned.tasks)
 

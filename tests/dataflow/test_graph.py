@@ -62,6 +62,50 @@ class TestGraphConstruction:
         with pytest.raises(ValidationError, match="cycle"):
             job.validate()
 
+    def test_cycle_error_names_the_stuck_tasks(self):
+        job = Job("j")
+        for n in ("a", "b", "c", "after", "free"):
+            job.add_task(Task(n))
+        job.connect("a", "b")
+        job.connect("b", "c")
+        job.connect("c", "a")
+        job.connect("c", "after")
+        with pytest.raises(ValidationError) as info:
+            job.validate()
+        message = str(info.value)
+        assert "cycle" in message
+        assert "['a', 'b', 'c', 'after']" in message
+        assert "free" not in message
+        with pytest.raises(ValidationError, match="cycle"):
+            job.topological_order()
+
+    def test_repeated_connect_keeps_one_edge(self):
+        job = Job("j")
+        a = job.add_task(Task("a"))
+        b = job.add_task(Task("b"))
+        job.connect(a, b)
+        job.connect("a", "b")
+        assert job.edges() == [(a, b)]
+        assert b.upstream() == [a]
+        assert a.downstream() == [b]
+
+    def test_diamond_order_follows_insertion_not_names(self):
+        """edges() lists each task's downstream edges in task insertion
+        order; topological_order() runs Kahn's algorithm generation by
+        generation, each in insertion order."""
+        job = Job("j")
+        for n in ("d", "c", "a", "b"):
+            job.add_task(Task(n))
+        job.connect("c", "d")
+        job.connect("a", "b")
+        job.connect("b", "d")
+        job.connect("a", "c")
+        assert [(u.name, v.name) for u, v in job.edges()] == [
+            ("c", "d"), ("a", "b"), ("a", "c"), ("b", "d"),
+        ]
+        assert [t.name for t in job.topological_order()] == ["a", "b", "c", "d"]
+        assert [t.name for t in job.tasks["d"].upstream()] == ["c", "b"]
+
     def test_empty_job_invalid(self):
         with pytest.raises(ValidationError):
             Job("j").validate()

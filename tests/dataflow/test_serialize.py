@@ -19,7 +19,8 @@ def assert_jobs_equal(a: Job, b: Job) -> None:
     assert a.name == b.name
     assert a.global_state_size == b.global_state_size
     assert set(a.tasks) == set(b.tasks)
-    assert set(a.graph.edges) == set(b.graph.edges)
+    assert ({(u.name, v.name) for u, v in a.edges()}
+            == {(u.name, v.name) for u, v in b.edges()})
     for name in a.tasks:
         assert a.tasks[name].work == b.tasks[name].work, name
         assert a.tasks[name].properties == b.tasks[name].properties, name

@@ -76,13 +76,96 @@ class TestTopology:
         # Unknown node: addressable is False, not an exception.
         assert not topo.addressable("cpu", "ghost")
 
+    def test_unknown_endpoint_raises_no_route(self):
+        topo = Topology()
+        topo.add_node("a")
+        with pytest.raises(NoRouteError):
+            topo.route("a", "ghost")
+        with pytest.raises(NoRouteError):
+            topo.route("ghost", "a")
+
+    def test_edges_order_is_node_major(self):
+        """Each node in insertion order, then each of its neighbours in
+        connection order that has not yet been listed as a node."""
+        topo = Topology()
+        for n in ("a", "b", "c", "d"):
+            topo.add_node(n)
+        topo.connect("c", "a", linkspec("ca"))
+        topo.connect("b", "d", linkspec("bd"))
+        topo.connect("a", "b", linkspec("ab"))
+        topo.connect("d", "c", linkspec("dc"))
+        assert [(u, v, link.name) for u, v, link in topo.edges()] == [
+            ("a", "c", "ca"), ("a", "b", "ab"), ("b", "d", "bd"),
+            ("c", "d", "dc"),
+        ]
+        assert [link.name for link in topo.links()] == ["ca", "ab", "bd", "dc"]
+        assert topo.link_kind(topo.link_between("d", "b")) == LinkKind.CXL
+
+
+def brute_force_latencies(topo, src):
+    """Least latency from ``src`` to every node it reaches, minimised
+    over every simple path of up links by exhaustive search."""
+    adjacent = {node: [] for node in topo.nodes()}
+    for u, v, link in topo.edges():
+        if link.up:
+            adjacent[u].append((v, link))
+            adjacent[v].append((u, link))
+    best = {}
+
+    def walk(node, visited, latency):
+        best[node] = min(latency, best.get(node, float("inf")))
+        for nbr, link in adjacent[node]:
+            if nbr not in visited:
+                walk(nbr, visited | {nbr}, latency + link.latency)
+
+    walk(src, {src}, 0.0)
+    return best
+
+
+class TestRouteOptimality:
+    @pytest.mark.parametrize("preset", presets.available())
+    def test_route_is_least_latency_with_any_single_link_down(self, preset):
+        topo = Cluster.preset(preset).topology
+        ends = {link.id: {u, v} for u, v, link in topo.edges()}
+        for down in [None, *topo.links()]:
+            if down is not None:
+                down.up = False
+            topo.invalidate_routes()
+            for src in topo.nodes():
+                best = brute_force_latencies(topo, src)
+                for dst in topo.nodes():
+                    if dst == src:
+                        continue
+                    if dst not in best:
+                        with pytest.raises(NoRouteError):
+                            topo.route(src, dst)
+                        continue
+                    links = topo.route(src, dst)
+                    assert all(link.up for link in links)
+                    at = src  # the links chain from src to dst
+                    for link in links:
+                        assert at in ends[link.id]
+                        (at,) = ends[link.id] - {at}
+                    assert at == dst
+                    # Each hop weighs 1e-9 ns extra, so fewer hops break
+                    # ties; the route may exceed the minimum by that much.
+                    assert sum(link.latency for link in links) == (
+                        pytest.approx(best[dst], rel=0, abs=1e-6))
+            if down is not None:
+                down.up = True
+
+    def test_dual_plane_equal_cost_tie_is_pinned(self):
+        """plane-a and plane-b are joined through cpu1, cpu2 and both
+        pool devices at equal cost; the first one connected wins."""
+        topo = Cluster.preset("dual-plane-rack").topology
+        assert [link.name for link in topo.route("plane-a", "plane-b")] == [
+            "cpu1--plane-a", "cpu1--plane-b",
+        ]
+
 
 def assert_kinds_follow_routes(topo):
     """route_kinds() must name the kind of every link route() crosses."""
-    edge_kinds = {
-        data["link"].id: data["kind"]
-        for _, _, data in topo.graph.edges(data=True)
-    }
+    edge_kinds = {link.id: topo.link_kind(link) for link in topo.links()}
     nodes = topo.nodes()
     for src in nodes:
         for dst in nodes:

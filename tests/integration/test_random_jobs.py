@@ -142,8 +142,8 @@ class TestRandomJobs:
             for t in job.topological_order():
                 job_copy.add_task(Task(t.name, work=t.work,
                                        properties=t.properties))
-            for u, v in job.graph.edges:
-                job_copy.connect(u, v)
+            for u, v in job.edges():
+                job_copy.connect(u.name, v.name)
             stats = session.run(job_copy)
             return [
                 (name, s.device, s.started_at, s.finished_at)

@@ -7,7 +7,6 @@ from repro.obs.metrics import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    TimeWeightedHistogram,
     Timeline,
 )
 
@@ -35,77 +34,6 @@ class TestGauge:
         assert gauge.value == 3.0
         backing["n"] = 11
         assert gauge.value == 11.0
-
-
-class TestTimeWeightedHistogram:
-    def test_accumulates_time_per_level_bucket(self):
-        hist = TimeWeightedHistogram("depth", bounds=(1, 2, 4))
-        hist.observe(0.0, 1)   # level 0 dwelt [init..0] = 0ns
-        hist.observe(10.0, 3)  # level 1 dwelt 10ns  -> bucket "<=1"
-        hist.observe(15.0, 0)  # level 3 dwelt 5ns   -> bucket "<=4"
-        hist.observe(25.0, 9)  # level 0 dwelt 10ns  -> bucket "<=1"
-        buckets = hist.time_in_buckets()
-        assert buckets["<=1"] == 20.0
-        assert buckets["<=4"] == 5.0
-        assert buckets[">4"] == 0.0
-
-    def test_overflow_bucket(self):
-        hist = TimeWeightedHistogram("depth", bounds=(1, 2))
-        hist.observe(0.0, 100)
-        hist.observe(8.0, 0)
-        assert hist.time_in_buckets()[">2"] == 8.0
-
-    def test_adjust_is_relative(self):
-        hist = TimeWeightedHistogram("depth")
-        hist.adjust(1.0, +2)
-        hist.adjust(2.0, +1)
-        assert hist.level == 3.0
-        hist.adjust(3.0, -3)
-        assert hist.level == 0.0
-
-    def test_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            TimeWeightedHistogram("bad", bounds=(4, 2, 1))
-
-    def test_rejects_time_travel(self):
-        hist = TimeWeightedHistogram("depth")
-        hist.observe(10.0, 1)
-        with pytest.raises(ValueError):
-            hist.observe(5.0, 2)
-
-    def test_quantile_interpolates_within_buckets(self):
-        hist = TimeWeightedHistogram("depth", bounds=(1, 2, 4))
-        hist.observe(10.0, 3)  # level 0 dwelt 10ns in (floor=0, 1]
-        hist.observe(20.0, 0)  # level 3 dwelt 10ns in (2, 4]
-        # Half the time was spent at level 0; the median lands exactly on
-        # the first bucket's upper bound.
-        assert hist.quantile(0.50) == pytest.approx(1.0)
-        # 75% target: 5ns into the 10ns dwelt in (2, 4] -> midpoint.
-        assert hist.quantile(0.75) == pytest.approx(3.0)
-        assert hist.quantile(1.0) == pytest.approx(4.0)
-        assert hist.quantile(0.0) == pytest.approx(0.0)
-
-    def test_quantile_without_history_returns_current_level(self):
-        hist = TimeWeightedHistogram("depth")
-        assert hist.quantile(0.95) == 0.0
-        hist.observe(0.0, 7)  # zero elapsed time so far
-        assert hist.quantile(0.95) == 7.0
-
-    def test_quantile_rejects_out_of_range(self):
-        hist = TimeWeightedHistogram("depth")
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-        with pytest.raises(ValueError):
-            hist.quantile(-0.1)
-
-    def test_snapshot_includes_percentiles(self):
-        hist = TimeWeightedHistogram("depth", bounds=(1, 2, 4))
-        hist.observe(10.0, 3)
-        hist.observe(20.0, 0)
-        snap = hist.snapshot()
-        assert snap["p50"] == pytest.approx(hist.quantile(0.50))
-        assert snap["p95"] == pytest.approx(hist.quantile(0.95))
-        assert snap["p99"] == pytest.approx(hist.quantile(0.99))
 
 
 class TestLatencyHistogram:
@@ -238,11 +166,10 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("count").inc()
         registry.gauge("gauge").set(2)
-        registry.histogram("hist").observe(1.0, 3)
         registry.timeline("line").record(1.0, 4)
         registry.latency("lat").observe(7.0)
         text = registry.report()
-        for name in ("count", "gauge", "hist", "line", "lat"):
+        for name in ("count", "gauge", "line", "lat"):
             assert name in text
         assert "n=1" in text  # latency row shows count + percentiles
         assert "p99" in text

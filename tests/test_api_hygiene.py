@@ -8,7 +8,10 @@ every public method of exported classes must carry a docstring, and
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -146,3 +149,21 @@ def test_api_surface_snapshot(module_name):
     module = importlib.import_module(module_name)
     assert set(module.__all__) == API_SURFACE[module_name]
 
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    """numpy is the only runtime dependency: importing the package and
+    its facade in a fresh interpreter loads nothing else from outside
+    the standard library."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro, repro.api\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['numpy', 'repro']"
