@@ -11,8 +11,9 @@ a run, then inspect it offline::
 
 The dashboard shows per-job makespans and handover economics (zero-copy
 ratio), critical-path attribution and SLO budgets (when the run traced
-the ``causal`` category), per-device utilization timelines, per-link
-bytes, and trace-ring health (retained vs. dropped events per category).
+the ``causal`` category), per-device utilization (the windowed
+``device.occupancy/<name>`` series), per-link bytes, and trace-ring
+health (retained vs. dropped events per category).
 
 ``--job``/``--category`` make the report *assertive*: when the export
 recorded nothing for the requested job or category the script prints an
@@ -104,15 +105,16 @@ def main(argv=None) -> int:
         for category, n in (data.get("meta", {}).get("dropped") or {}).items()
         if n
     }
-    timeline_drops = sum(
+    series = (data.get("telemetry") or {}).get("series") or {}
+    occupancy_drops = sum(
         int(snap.get("dropped", 0))
-        for snap in data.get("metrics", {}).values()
-        if snap.get("type") == "timeline"
+        for name, snap in series.items()
+        if name.startswith("device.occupancy/")
     )
-    if dropped or timeline_drops:
+    if dropped or occupancy_drops:
         parts = [f"{category}: {n} events" for category, n in sorted(dropped.items())]
-        if timeline_drops:
-            parts.append(f"timelines: {timeline_drops} change points")
+        if occupancy_drops:
+            parts.append(f"device occupancy: {occupancy_drops} windows")
         print(
             "WARNING: history truncated — bounded rings dropped "
             + ", ".join(parts)

@@ -428,21 +428,17 @@ class LLMEngine:
                 dispatch(pending.popleft())
 
         interval = self.session.driver.sample_interval_ns
-        sampling = {"on": telem is not None}
-        if sampling["on"]:
-            def sampler():
-                while sampling["on"]:
-                    telem.poll(engine.now)
-                    yield engine.timeout(interval)
-
-            sampler_proc = engine.process(sampler(), name="llm-sampler")
+        sampler = None
+        if telem is not None:
+            sampler = engine.process(
+                telem.pump(engine, interval), name="llm-sampler"
+            )
         # Step the clock until every request has settled; the sampler
         # alone must not keep the run alive (mirrors RackDriver).
         while state["settled"] < len(ordered):
             engine.run(until=engine.now + interval)
-        if sampling["on"]:
-            sampling["on"] = False
-            sampler_proc.kill()
+        if sampler is not None:
+            sampler.kill()
         engine.run()
         if telem is not None:
             telem.poll(engine.now)

@@ -41,7 +41,7 @@ class RackState(enum.Enum):
     DOWN = "down"
 
 
-#: Gauge encoding: ``fed.rack.state/<name>`` exports the index here.
+#: The ``fed.rack.state/<name>`` collector reading exports the index here.
 STATE_ORDER = (
     RackState.UP, RackState.DEGRADED, RackState.DRAINING, RackState.DOWN,
 )

@@ -109,6 +109,11 @@ class Cluster:
         if spec.name in self.memory or spec.name in self.compute:
             raise ValueError(f"duplicate device name {spec.name!r}")
         device = ComputeDevice(spec, self.engine)
+        # The device's busy slots are the hub's occupancy series: one
+        # level signal, recorded once, exported with the telemetry.
+        device.busy_slots = self.obs.telemetry.series(
+            device.busy_slots.name, "level"
+        )
         self.compute[spec.name] = device
         self.topology.add_node(spec.name, role="compute")
         self._register_node_member(node, spec.name)

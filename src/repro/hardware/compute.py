@@ -4,7 +4,8 @@ A :class:`ComputeDevice` pairs a
 :class:`~repro.hardware.spec.ComputeDeviceSpec` with simulation state: a
 slot pool limiting concurrent tasks, failure state, and busy-time
 accounting used for the utilization metrics the paper's Figure 1
-economics argument relies on.
+economics argument relies on.  Busy slots are a telemetry level series
+(``device.occupancy/<name>``); a cluster registers it in its hub.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import typing
 
 from repro.hardware.spec import ComputeDeviceSpec, ComputeKind, OpClass
+from repro.obs.telemetry import DEFAULT_WINDOW_NS, WindowedSeries
 from repro.sim.engine import Engine
 from repro.sim.resources import Request, Resource
-from repro.sim.trace import MetricRecorder
 
 
 class ComputeDevice:
@@ -30,7 +31,11 @@ class ComputeDevice:
         #: cost models stay blind and must detect slowness from evidence.
         self.slow_factor = 1.0
         self._slots = Resource(engine, capacity=spec.slots)
-        self.busy_slots = MetricRecorder()
+        #: Granted slots over time; :meth:`Cluster.add_compute` swaps in
+        #: the cluster hub's ``device.occupancy/<name>`` series.
+        self.busy_slots = WindowedSeries(
+            f"device.occupancy/{spec.name}", DEFAULT_WINDOW_NS, kind="level"
+        )
         self.tasks_completed = 0
         self.busy_time = 0.0
 
@@ -115,8 +120,7 @@ class ComputeDevice:
 
     def utilization(self, until: typing.Optional[float] = None) -> float:
         """Time-weighted mean fraction of busy slots."""
-        mean_busy = self.busy_slots.time_weighted_mean(until)
-        return mean_busy / self.spec.slots
+        return self.busy_slots.mean(until) / self.spec.slots
 
     def fail(self) -> None:
         """Mark the device failed (no new tasks are scheduled onto it)."""

@@ -5,7 +5,7 @@ A :class:`MemoryDevice` pairs an immutable
 state: capacity accounting, a *port link* that throttles all traffic
 into/out of the device at the device's own media bandwidth (so device
 bandwidth participates in the max–min fair flow model exactly like fabric
-links), failure state, and a utilization recorder.
+links), and failure state.
 
 Offset-level allocation lives in :mod:`repro.memory.allocator`; the
 device only tracks aggregate bytes so the hardware layer stays below the
@@ -18,7 +18,6 @@ import typing
 
 from repro.hardware.spec import MemoryDeviceSpec, MemoryKind
 from repro.sim.flows import Link
-from repro.sim.trace import MetricRecorder
 
 
 class CapacityError(Exception):
@@ -44,7 +43,6 @@ class MemoryDevice:
             bandwidth=spec.bandwidth,
             latency=spec.latency,
         )
-        self.occupancy = MetricRecorder()
         #: Bytes read/written through access interfaces (telemetry).
         self.bytes_read = 0.0
         self.bytes_written = 0.0
@@ -69,7 +67,7 @@ class MemoryDevice:
     def utilization(self) -> float:
         return self.used / self.spec.capacity
 
-    def reserve(self, nbytes: int, time: float = 0.0) -> None:
+    def reserve(self, nbytes: int) -> None:
         """Account ``nbytes`` as used; raises :class:`CapacityError` if full."""
         if self.failed:
             raise DeviceFailed(f"{self.name} has failed")
@@ -80,9 +78,8 @@ class MemoryDevice:
                 f"{self.name}: requested {nbytes} B but only {self.free} B free"
             )
         self.used += nbytes
-        self.occupancy.record(time, self.used)
 
-    def release(self, nbytes: int, time: float = 0.0) -> None:
+    def release(self, nbytes: int) -> None:
         """Return ``nbytes`` to the free pool."""
         if nbytes < 0:
             raise ValueError(f"cannot release negative bytes: {nbytes}")
@@ -91,7 +88,6 @@ class MemoryDevice:
                 f"{self.name}: releasing {nbytes} B but only {self.used} B in use"
             )
         self.used -= nbytes
-        self.occupancy.record(time, self.used)
 
     def fail(self) -> None:
         """Mark the device failed (node crash / module failure)."""

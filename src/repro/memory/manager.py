@@ -75,7 +75,7 @@ class MemoryManager:
         except AllocationError as exc:
             raise PlacementError(f"{device_name}: {exc}") from exc
         try:
-            device.reserve(allocation.size, time=self.cluster.engine.now)
+            device.reserve(allocation.size)
         except CapacityError as exc:  # pragma: no cover - allocator guards this
             allocator.free(allocation)
             raise PlacementError(str(exc)) from exc
@@ -105,7 +105,7 @@ class MemoryManager:
             return
         if region.state is not RegionState.LOST:
             self.allocators[region.device.name].free(region.allocation)
-            region.device.release(region.allocation.size, time=self.cluster.engine.now)
+            region.device.release(region.allocation.size)
         region.state = RegionState.FREED
         region.freed_at = self.cluster.engine.now
         self.regions.pop(region.id, None)
@@ -170,7 +170,7 @@ class MemoryManager:
             new_allocation = allocator.allocate(region.size)
         except AllocationError as exc:
             raise PlacementError(f"{new_device_name}: {exc}") from exc
-        new_device.reserve(new_allocation.size, time=self.cluster.engine.now)
+        new_device.reserve(new_allocation.size)
 
         region.state = RegionState.MIGRATING
         old_device, old_allocation = region.device, region.allocation
@@ -179,7 +179,7 @@ class MemoryManager:
         except BaseException:
             # Roll back the target allocation; the region stays put.
             allocator.free(new_allocation)
-            new_device.release(new_allocation.size, time=self.cluster.engine.now)
+            new_device.release(new_allocation.size)
             region.state = RegionState.ACTIVE
             raise
         region.device = new_device
@@ -187,7 +187,7 @@ class MemoryManager:
         region.state = RegionState.ACTIVE
         region.migrations += 1
         self.allocators[old_device.name].free(old_allocation)
-        old_device.release(old_allocation.size, time=self.cluster.engine.now)
+        old_device.release(old_allocation.size)
         self.cluster.trace.emit(
             self.cluster.engine.now, "memory", "migrate",
             region=region.name, src=old_device.name, dst=new_device_name,
@@ -226,7 +226,7 @@ class MemoryManager:
         # The contents are gone; reclaim the physical range so the device
         # is consistent again after recovery (no phantom allocations).
         self.allocators[region.device.name].free(region.allocation)
-        region.device.release(region.allocation.size, time=self.cluster.engine.now)
+        region.device.release(region.allocation.size)
         self.cluster.trace.emit(
             self.cluster.engine.now, "memory", "lost",
             region=region.name, device=region.device.name,

@@ -5,21 +5,24 @@ dataflow applications with multiple abstraction layers for performance
 when the runtime system hides performance-relevant details?"*  This
 package is the measurement substrate that makes every layer answerable:
 
-* a **metrics registry** (:mod:`repro.obs.metrics`) of counters, gauges,
-  latency histograms, and bounded per-device utilization timelines;
+* a **metrics registry** (:mod:`repro.obs.metrics`) of counters and
+  collector readings, plus the latency histogram the SLO tracker keeps;
 * **span-based tracing** (:mod:`repro.obs.span`) nesting
   job → task → region/phase → device scopes into the bounded
   per-category ring buffers of :class:`~repro.sim.trace.TraceLog`;
 * **exporters** (:mod:`repro.obs.export`): JSONL run dumps and
   Chrome/Perfetto ``trace_event`` JSON;
 * a **text dashboard** (:mod:`repro.obs.dashboard`) rendering per-job
-  makespans, device utilization timelines, per-link bytes, and handover
+  makespans, device utilization, per-link bytes, and handover
   economics — also available offline via ``scripts/obs_report.py``;
 * **continuous telemetry** (:mod:`repro.obs.telemetry`): bounded
   fixed-window series over any signal, multi-window SLO burn-rate
   alerting, and 1-in-N sampled hotness tracking, all self-metered
   under ``obs.telemetry.*`` — also available offline via
-  ``scripts/telemetry_report.py``.
+  ``scripts/telemetry_report.py``.  Its ``level`` series are the one
+  time-weighted level type: each level signal (device occupancy, rack
+  queue depth, memory utilization, ...) is recorded once, into
+  ``obs.telemetry``, with exact lifetime mean and peak.
 
 Every :class:`~repro.hardware.cluster.Cluster` owns an
 :class:`Observability` instance as ``cluster.obs``.  The disabled path
@@ -35,13 +38,7 @@ import typing
 from itertools import count
 
 from repro.obs.causal import CausalTracer
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-    Timeline,
-)
+from repro.obs.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.obs.slo import SloTracker
 from repro.obs.span import NOOP_SPAN, Span
 from repro.obs.telemetry import BurnRateRule, TelemetryHub, WindowedSeries
@@ -148,12 +145,6 @@ class Observability:
     def counter(self, name: str) -> Counter:
         return self.registry.counter(name)
 
-    def gauge(self, name: str, fn=None) -> Gauge:
-        return self.registry.gauge(name, fn)
-
-    def timeline(self, name: str, **kwargs) -> Timeline:
-        return self.registry.timeline(name, **kwargs)
-
     # -- export / rendering ------------------------------------------------
 
     def data(self) -> dict:
@@ -210,7 +201,6 @@ __all__ = [
     "BurnRateRule",
     "CausalTracer",
     "Counter",
-    "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
     "NOOP_SPAN",
@@ -218,6 +208,5 @@ __all__ = [
     "SloTracker",
     "Span",
     "TelemetryHub",
-    "Timeline",
     "WindowedSeries",
 ]

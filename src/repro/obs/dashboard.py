@@ -5,8 +5,10 @@ live :class:`~repro.obs.Observability` snapshot or a loaded JSONL export
 (:func:`repro.obs.export.load_jsonl`): per-job makespans and handover
 economics, critical-path attribution (where each job's wall-clock went,
 from the causal DAG), stragglers, SLO budget state, per-device
-utilization timelines (unicode sparklines over the occupancy change
-points), per-link bytes, and trace-ring health.
+utilization (a unicode sparkline over the window means of each
+``device.occupancy/<name>`` telemetry series, beside its exact lifetime
+mean and peak), per-link bytes, windowed telemetry, and trace-ring
+health.
 """
 
 from __future__ import annotations
@@ -89,6 +91,16 @@ def sparkline(
     return "".join(cells)
 
 
+def _window_sparkline(values: typing.Sequence[float], width: int) -> str:
+    """Per-window values as blocks, at most ``width`` columns."""
+    points = [[i, v] for i, v in enumerate(values)]
+    return sparkline(points, width=min(width, len(values)))
+
+
+#: Name prefix of the per-compute-device occupancy level series.
+_OCCUPANCY = "device.occupancy/"
+
+
 def _metric_value(metrics: dict, name: str, default: float = 0.0) -> float:
     snap = metrics.get(name)
     if not snap:
@@ -117,7 +129,8 @@ def render_dashboard(
     meta = data.get("meta", {})
     events = data.get("events", [])
     metrics = data.get("metrics", {})
-    now = float(meta.get("now", 0.0)) or None
+    telemetry = data.get("telemetry") or {}
+    series = telemetry.get("series") or {}
     sections = []
 
     # -- jobs ------------------------------------------------------------
@@ -288,25 +301,25 @@ def render_dashboard(
         )
         sections.append(routing.render())
 
-    # -- per-device utilization timelines --------------------------------
-    util = Table(["device", f"occupancy timeline (t→{format_ns(now or 0)})",
-                  "mean", "peak", "history"],
+    # -- per-device utilization ------------------------------------------
+    util = Table(["device", "occupancy (window means)", "mean", "peak",
+                  "history"],
                  title="Device utilization")
     util_rows = 0
-    for name in sorted(metrics):
-        if not name.startswith("device.occupancy/"):
-            continue
-        snap = metrics[name]
-        samples = snap.get("samples", [])
-        tl_dropped = int(snap.get("dropped", 0))
+    for name in sorted(series):
+        snap = series[name]
+        windows = snap.get("windows", [])
+        if not name.startswith(_OCCUPANCY) or not windows:
+            continue  # a device that never ran a task has no windows
+        dropped_w = int(snap.get("dropped", 0))
         util.add_row(
-            name.split("/", 1)[1],
-            sparkline(samples, width=width, until=now),
+            name[len(_OCCUPANCY):],
+            _window_sparkline([float(w["mean"]) for w in windows], width),
+            # Lifetime aggregates: exact over the whole run, even when
+            # the retained windows only cover its tail.
             f"{float(snap.get('mean', 0.0)):.2f}",
             f"{float(snap.get('max', 0.0)):g}",
-            # A truncated ring means the sparkline only shows the tail
-            # of the run; say so instead of dropping silently.
-            f"TRUNCATED (-{tl_dropped})" if tl_dropped else "full",
+            f"TRUNCATED (-{dropped_w})" if dropped_w else "full",
         )
         util_rows += 1
     if util_rows:
@@ -358,16 +371,17 @@ def render_dashboard(
         sections.append(gray.render())
 
     # -- continuous telemetry (windowed series) ---------------------------
-    telemetry = data.get("telemetry") or {}
-    series = telemetry.get("series") or {}
-    if series:
+    # Device occupancy series are the Device utilization section above.
+    shown = [name for name in sorted(series)
+             if not name.startswith(_OCCUPANCY)]
+    if shown:
         telem_table = Table(
             ["series", "kind", "last windows (mean)", "last", "windows",
              "history"],
             title="Telemetry (per-window, width "
                   f"{format_ns(float(telemetry.get('window_ns') or 0))})",
         )
-        for name in sorted(series):
+        for name in shown:
             snap = series[name]
             windows = snap.get("windows", [])
             if not windows:
@@ -383,11 +397,10 @@ def render_dashboard(
             kind = snap.get("kind", "?")
             key = "rate" if kind == "rate" else "mean"
             values = [float(w.get(key, 0.0)) for w in windows]
-            points = [[i, v] for i, v in enumerate(values)]
             dropped_w = int(snap.get("dropped", 0))
             telem_table.add_row(
                 name, kind,
-                sparkline(points, width=min(width, len(values))),
+                _window_sparkline(values, width),
                 f"{values[-1]:.4g}",
                 len(windows),
                 f"TRUNCATED (-{dropped_w})" if dropped_w else "full",

@@ -1,10 +1,10 @@
 """Continuous telemetry: windowed series, burn-rate alerts, sampled hotness.
 
 The rest of :mod:`repro.obs` answers questions *after* a run (critical
-paths, lifetime SLO budgets, utilization timelines).  This module is
-the *during*-the-run half the capacity-planning and adaptive-tiering
-roadmap items need — three primitives, all bounded in memory by
-construction and all priced honestly via self-metering:
+paths, lifetime SLO budgets).  This module is the *during*-the-run half
+the capacity-planning and adaptive-tiering roadmap items need — three
+primitives, all bounded in memory by construction and all priced
+honestly via self-metering:
 
 * :class:`WindowedSeries` folds any signal — discrete samples, a
   piecewise-constant level, or a cumulative counter — into fixed
@@ -13,7 +13,12 @@ construction and all priced honestly via self-metering:
   same windows).  Each window keeps count/sum/min/max (plus log-bucket
   counts for in-window percentiles of sampled values); a bounded deque
   of closed windows gives recent history, older windows are dropped and
-  counted.
+  counted.  A ``level`` series is the package's one time-weighted level
+  type: besides its windows it keeps exact lifetime mean/max/min, so
+  compute-device occupancy (``device.occupancy/<name>``, which is
+  ``ComputeDevice.busy_slots``), rack running/queued depth, pool memory
+  utilization and the health monitor's up-device count are each
+  recorded once, here.
 * :class:`AlertEngine` evaluates multi-window SLO **burn-rate** rules
   (:class:`BurnRateRule`: a fast and a slow trailing window must both
   burn above the open threshold; a lower close threshold provides
@@ -45,7 +50,11 @@ import math
 import time as _time
 import typing
 
-from repro.obs.metrics import LATENCY_BOUNDS_NS
+from repro.obs.metrics import (
+    LATENCY_BOUNDS_NS,
+    bucket_index,
+    interpolated_quantile,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
@@ -92,7 +101,10 @@ class WindowedSeries:
     * ``"level"`` — a piecewise-constant signal (queue depth,
       utilization): per-window time-weighted mean and max; dwell time is
       split exactly at window boundaries, so boundaries are
-      deterministic functions of sim time alone.
+      deterministic functions of sim time alone.  A level series also
+      keeps exact lifetime aggregates — :meth:`mean`, :attr:`maximum`
+      and :attr:`minimum` — over the whole run, not just the retained
+      windows.
     * ``"rate"`` — deltas of a cumulative counter: per-window sum, with
       ``rate = sum / width``.
 
@@ -103,7 +115,8 @@ class WindowedSeries:
     """
 
     __slots__ = ("name", "kind", "width", "max_windows", "bounds",
-                 "closed", "dropped", "_cur", "_level", "_last_time")
+                 "closed", "dropped", "_cur", "_level", "_last_time",
+                 "_weighted", "_elapsed", "_max", "_min")
 
     def __init__(
         self,
@@ -132,6 +145,12 @@ class WindowedSeries:
         self._cur: typing.Optional[_Window] = None
         self._level = 0.0
         self._last_time = float(start_time)
+        # Lifetime aggregates of a level series (time-weighted integral,
+        # elapsed time, extremes), starting from the initial level 0.
+        self._weighted = 0.0
+        self._elapsed = 0.0
+        self._max = 0.0
+        self._min = 0.0
 
     # -- window bookkeeping ----------------------------------------------
 
@@ -197,7 +216,7 @@ class WindowedSeries:
         if value > window.vmax:
             window.vmax = value
         if window.buckets is not None:
-            window.buckets[self._bucket(value)] += 1
+            window.buckets[bucket_index(self.bounds, value)] += 1
 
     def add(self, t: float, delta: float) -> None:
         """Fold one counter delta (``rate`` kind)."""
@@ -225,6 +244,9 @@ class WindowedSeries:
                 f"series {self.name!r}: time went backwards "
                 f"({t} < {self._last_time})"
             )
+        dwell = t - self._last_time
+        self._weighted += self._level * dwell
+        self._elapsed += dwell
         target = self.window_index(t)
         window = self._roll_to(self.window_index(self._last_time))
         cursor = self._last_time
@@ -235,7 +257,11 @@ class WindowedSeries:
             window = self._roll_to(window.index + 1)
         window.weighted += self._level * (t - cursor)
         self._last_time = t
-        self._level = float(level)
+        level = self._level = float(level)
+        if level > self._max:
+            self._max = level
+        if level < self._min:
+            self._min = level
         if level < window.vmin:
             window.vmin = level
         if level > window.vmax:
@@ -251,16 +277,34 @@ class WindowedSeries:
         """Current level of a ``level`` series."""
         return self._level
 
-    def _bucket(self, value: float) -> int:
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bounds[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def mean(self, until: typing.Optional[float] = None) -> float:
+        """Lifetime time-weighted mean of a ``level`` series up to
+        ``until`` (default: the last change); the level itself when no
+        time has elapsed."""
+        weighted = self._weighted
+        elapsed = self._elapsed
+        if until is not None:
+            if until < self._last_time:
+                raise ValueError(
+                    f"series {self.name!r}: until={until} precedes the "
+                    f"last change at {self._last_time}"
+                )
+            dwell = until - self._last_time
+            weighted += self._level * dwell
+            elapsed += dwell
+        if elapsed == 0:
+            return self._level
+        return weighted / elapsed
+
+    @property
+    def maximum(self) -> float:
+        """Lifetime peak of a ``level`` series (initial level included)."""
+        return self._max
+
+    @property
+    def minimum(self) -> float:
+        """Lifetime floor of a ``level`` series (initial level included)."""
+        return self._min
 
     # -- queries ----------------------------------------------------------
 
@@ -290,25 +334,11 @@ class WindowedSeries:
             out["max"] = window.vmax if window.count else 0.0
             out["min"] = window.vmin if window.count else 0.0
             if window.buckets is not None and window.count:
-                out["p95"] = self._window_quantile(window, 0.95)
+                out["p95"] = interpolated_quantile(
+                    self.bounds, window.buckets, window.count, 0.95,
+                    window.vmin, window.vmax,
+                )
         return out
-
-    def _window_quantile(self, window: _Window, q: float) -> float:
-        """Interpolated in-window quantile from the log-bucket counts."""
-        target = q * window.count
-        cumulative = 0
-        bounds = self.bounds
-        for i, n in enumerate(window.buckets):
-            if n == 0:
-                continue
-            if cumulative + n >= target:
-                lo = bounds[i - 1] if i > 0 else min(window.vmin, bounds[0])
-                hi = bounds[i] if i < len(bounds) else window.vmax
-                frac = (target - cumulative) / n
-                value = lo + (hi - lo) * max(0.0, min(1.0, frac))
-                return max(window.vmin, min(window.vmax, value))
-            cumulative += n
-        return window.vmax
 
     def sum_over(
         self, since: float, until: float
@@ -365,17 +395,23 @@ class WindowedSeries:
         return n * per
 
     def snapshot(self, limit: typing.Optional[int] = None) -> dict:
-        """The series as plain data (last ``limit`` windows)."""
+        """The series as plain data (last ``limit`` windows); a level
+        series adds its lifetime ``mean`` (to the last change) and
+        ``max``."""
         windows = [self.window_stats(w) for w in self.windows()]
         if limit is not None:
             windows = windows[-limit:]
-        return {
+        out = {
             "type": "windowed",
             "kind": self.kind,
             "width_ns": self.width,
             "dropped": self.dropped,
             "windows": windows,
         }
+        if self.kind == "level":
+            out["mean"] = self.mean()
+            out["max"] = self._max
+        return out
 
 
 # -- burn-rate alerting ----------------------------------------------------
@@ -761,14 +797,15 @@ class SampledHotness:
 
 
 class _Watcher:
-    """One polled fold source: a cumulative/level/sample callable."""
+    """One polled fold source: a cumulative/level/sample callable,
+    folded by its series' kind."""
 
-    __slots__ = ("series", "fn", "mode", "last")
+    __slots__ = ("series", "fn", "last")
 
-    def __init__(self, series: WindowedSeries, fn, mode: str):
+    def __init__(self, series: WindowedSeries, fn):
         self.series = series
         self.fn = fn
-        self.mode = mode  # "rate" | "level" | "latency"
+        #: Previous cumulative reading (``rate`` series only).
         self.last = None
 
 
@@ -778,21 +815,22 @@ class TelemetryHub:
     Folds live signals into :class:`WindowedSeries` three ways:
 
     * **push** — subsystems call :meth:`record` / :meth:`record_level`
-      / :meth:`add` at the instant something happens;
+      / :meth:`adjust` / :meth:`add` at the instant something happens
+      (or hold a :meth:`series` handle on hot paths — every compute
+      device's ``device.occupancy/<name>`` level series is one);
     * **watch** — :meth:`watch` registers a zero-argument callable
-      (or :meth:`watch_counter` / :meth:`watch_gauge` /
-      :meth:`watch_timeline` / :meth:`watch_latency` an existing
-      registry instrument) folded on every :meth:`poll`;
+      (a cumulative counter, a level, or a sample) folded on every
+      :meth:`poll`;
     * **SLO feed** — the :class:`~repro.obs.slo.SloTracker` calls
       :meth:`slo_observation` on every recorded completion, producing
       the windowed total/missed/latency series the
       :class:`AlertEngine` burns rules over.
 
-    Polling is driven by whoever owns a convenient cadence (the
-    admission sampler, the federation heartbeat, or a :meth:`pump`
-    process in standalone benches); alert *detection* additionally
-    rides every SLO observation, so a breach is noticed within one
-    observation of the fast window filling, pump or no pump.
+    Polling is driven by a :meth:`pump` process (the rack's
+    ``rack-sampler``, the LLM engine's ``llm-sampler``, or one in a
+    standalone bench) or by the federation heartbeat; alert *detection*
+    additionally rides every SLO observation, so a breach is noticed
+    within one observation of the fast window filling, pump or no pump.
     """
 
     def __init__(
@@ -916,48 +954,15 @@ class TelemetryHub:
         piecewise-constant level; ``kind="sample"`` folds the raw value
         as a discrete observation.
         """
-        mode = "rate" if kind == "rate" else kind
         series = self.series(name, kind)
         for watcher in self._watchers:
             # Re-registering a name replaces its source (e.g. a rebuilt
             # runtime on the same cluster) instead of double-folding.
             if watcher.series is series:
                 watcher.fn = fn
-                watcher.mode = mode
                 watcher.last = None
                 return series
-        self._watchers.append(_Watcher(series, fn, mode))
-        return series
-
-    def watch_counter(self, counter) -> WindowedSeries:
-        """Fold a registry :class:`~repro.obs.metrics.Counter`."""
-        return self.watch(counter.name, lambda: counter.value, kind="rate")
-
-    def watch_gauge(self, gauge) -> WindowedSeries:
-        """Sample a registry :class:`~repro.obs.metrics.Gauge`."""
-        return self.watch(gauge.name, lambda: gauge.value, kind="level")
-
-    def watch_timeline(self, timeline) -> WindowedSeries:
-        """Sample a registry :class:`~repro.obs.metrics.Timeline` level."""
-        return self.watch(
-            timeline.name, lambda: timeline.recorder.level, kind="level"
-        )
-
-    def watch_latency(self, histogram) -> WindowedSeries:
-        """Fold a :class:`~repro.obs.metrics.LatencyHistogram` so each
-        window carries the observations recorded *during* it (count,
-        mean, and in-window p95 via bucket-count deltas)."""
-        series = self.series(
-            name=histogram.name, kind="sample", bounds=histogram.bounds
-        )
-        for watcher in self._watchers:
-            if watcher.series is series:
-                watcher.fn = histogram
-                watcher.mode = "latency"
-                watcher.last = None
-                return series
-        watcher = _Watcher(series, histogram, "latency")
-        self._watchers.append(watcher)
+        self._watchers.append(_Watcher(series, fn))
         return series
 
     # -- polling -----------------------------------------------------------
@@ -968,30 +973,15 @@ class TelemetryHub:
         t = self.now() if now is None else now
         for watcher in self._watchers:
             series = watcher.series
-            mode = watcher.mode
-            if mode == "rate":
+            kind = series.kind
+            if kind == "rate":
                 value = float(watcher.fn())
                 last = watcher.last
                 if last is not None and (value != last or series._cur is not None):
                     series.add(t, value - last)
                 watcher.last = value
-            elif mode == "level":
+            elif kind == "level":
                 series.record_level(t, float(watcher.fn()))
-            elif mode == "latency":
-                hist = watcher.fn
-                if watcher.last is None:
-                    watcher.last = (0, 0.0, [0] * len(hist.counts))
-                count, total, buckets = watcher.last
-                dcount = hist.total - count
-                if dcount > 0:
-                    window = series._roll_to(series.window_index(t))
-                    window.count += dcount
-                    window.total += hist._sum - total
-                    window.vmin = min(window.vmin, hist.minimum)
-                    window.vmax = max(window.vmax, hist.maximum)
-                    for i, n in enumerate(hist.counts):
-                        window.buckets[i] += n - buckets[i]
-                    watcher.last = (hist.total, hist._sum, list(hist.counts))
             else:  # sample
                 series.observe(t, float(watcher.fn()))
         self.samples += len(self._watchers)

@@ -32,10 +32,10 @@ from repro.runtime.tenancy import (
     estimate_job_footprint,
 )
 from repro.sim.events import Event
-from repro.sim.trace import MetricRecorder
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataflow.graph import Job
+    from repro.obs.telemetry import WindowedSeries
 
 
 @dataclasses.dataclass
@@ -82,7 +82,9 @@ class AdmittedJob:
 @dataclasses.dataclass
 class RackStats:
     jobs: typing.List[AdmittedJob] = dataclasses.field(default_factory=list)
-    memory_utilization: typing.Optional[MetricRecorder] = None
+    #: The hub's ``rack.memory_util`` level series (pool used/capacity,
+    #: read on every telemetry poll).
+    memory_utilization: typing.Optional["WindowedSeries"] = None
     peak_concurrency: int = 0
     preemptions: int = 0
 
@@ -109,10 +111,10 @@ class RackStats:
         return sum(j.stats.makespan for j in done) / len(done)
 
     def mean_memory_utilization(self, until: float) -> float:
-        """Time-weighted mean pool utilization over the sampled window."""
+        """Time-weighted mean pool utilization up to ``until``."""
         if self.memory_utilization is None:
             return 0.0
-        return self.memory_utilization.time_weighted_mean(until)
+        return self.memory_utilization.mean(until)
 
     def by_tenant(self, tenant: str) -> typing.List[AdmittedJob]:
         """This tenant's jobs, in arrival order."""
@@ -209,17 +211,18 @@ class RackDriver:
         #: order (victim scan).
         self._active: typing.Dict[int, AdmittedJob] = {}
         self._retry_scheduled = False
-        self.stats = RackStats(memory_utilization=MetricRecorder())
-        self._sampling = True
         obs = rts.cluster.obs
         self._obs = obs
-        self._running_tl = obs.timeline("rack.running")
-        self._queued_tl = obs.timeline("rack.queued")
+        telem = obs.telemetry
+        # Level series: running/queued depth are pushed by the admission
+        # paths on every change; pool memory utilization is read on
+        # every telemetry poll (the rack or LLM sampler).
+        self._running_level = telem.series("rack.running", "level")
+        self._queued_level = telem.series("rack.queued", "level")
+        self.stats = RackStats(memory_utilization=telem.watch(
+            "rack.memory_util", self._memory_utilization, kind="level"
+        ))
         obs.registry.add_collector(self._collect_tenant_metrics)
-        # Continuous telemetry: per-window running/queued levels fold
-        # from the timelines the admission paths already record.
-        obs.telemetry.watch_timeline(self._running_tl)
-        obs.telemetry.watch_timeline(self._queued_tl)
 
     # -- admission gate ------------------------------------------------------
 
@@ -229,6 +232,12 @@ class RackDriver:
         capacity = sum(d.capacity for d in self.rts.cluster.memory.values())
         used = sum(d.used for d in self.rts.cluster.memory.values())
         return used <= capacity * (1.0 - self.memory_headroom)
+
+    def _memory_utilization(self) -> float:
+        """Pool-wide used / capacity across the cluster's memory."""
+        memory = self.rts.cluster.memory.values()
+        capacity = sum(d.capacity for d in memory)
+        return sum(d.used for d in memory) / capacity if capacity else 0.0
 
     def _surviving_capacity_fraction(self) -> float:
         """Fraction of total memory capacity on usable devices."""
@@ -272,7 +281,7 @@ class RackDriver:
         entry.admitted.shed = True
         tenant = self.tenants.get(entry.admitted.tenant)
         tenant.shed += 1
-        self._queued_tl.adjust(engine.now, -1)
+        self._queued_level.adjust(engine.now, -1)
         self._obs.counter("rack.shed").inc()
         self._obs.counter(f"tenant.shed/{tenant.name}").inc()
         self._obs.event("admission", "shed", job=entry.admitted.name,
@@ -456,8 +465,8 @@ class RackDriver:
         tenant.queue_wait_ns += admitted.queue_wait
         if entry.footprint is not None:
             tenant.in_flight_bytes += entry.footprint
-        self._queued_tl.adjust(engine.now, -1)
-        self._running_tl.adjust(engine.now, +1)
+        self._queued_level.adjust(engine.now, -1)
+        self._running_level.adjust(engine.now, +1)
         self._obs.counter("rack.admitted").inc()
         self._obs.counter(f"tenant.admitted/{tenant.name}").inc()
         self._obs.event("admission", "admit",
@@ -509,7 +518,7 @@ class RackDriver:
         tenant.refill(engine.now)
         tenant.spend(compute_ns)
         tenant.served_ns += compute_ns
-        self._running_tl.adjust(engine.now, -1)
+        self._running_level.adjust(engine.now, -1)
         self._obs.event("admission", "done",
                         job=admitted.name, tenant=tenant.name,
                         ok=bool(event._ok))
@@ -594,7 +603,7 @@ class RackDriver:
             job=job_obj,
         )
         self._queues.setdefault(state.name, collections.deque()).append(entry)
-        self._queued_tl.adjust(engine.now, +1)
+        self._queued_level.adjust(engine.now, +1)
         self._obs.counter(f"tenant.submitted/{state.name}").inc()
         self._pump()
         return admitted
@@ -625,21 +634,14 @@ class RackDriver:
                     name, factory, tenant=tenant, priority=priority
                 )
 
-        def sampler():
-            capacity = sum(d.capacity for d in self.rts.cluster.memory.values())
-            telem = self._obs.telemetry
-            while self._sampling:
-                used = sum(d.used for d in self.rts.cluster.memory.values())
-                util = used / capacity if capacity else 0.0
-                self.stats.memory_utilization.record(engine.now, util)
-                telem.record_level("rack.memory_util", engine.now, util)
-                # The sampler is the rack's telemetry cadence: fold
-                # every watcher and sweep the burn-rate rules.
-                telem.poll(engine.now)
-                yield engine.timeout(self.sample_interval_ns)
-
         engine.process(arrival_process(), name="rack-arrivals")
-        sampler_proc = engine.process(sampler(), name="rack-sampler")
+        # The sampler is the rack's telemetry cadence: every tick folds
+        # every watcher (memory utilization among them) and sweeps the
+        # burn-rate rules.
+        sampler_proc = engine.process(
+            self._obs.telemetry.pump(engine, self.sample_interval_ns),
+            name="rack-sampler",
+        )
         # Run until only the sampler keeps the queue alive.
         while True:
             engine.run(until=engine.now + self.sample_interval_ns)
@@ -650,7 +652,6 @@ class RackDriver:
             )
             if drained:
                 break
-        self._sampling = False
         sampler_proc.kill()
         engine.run()
         # End-of-trace: one final fold so the last partial window and

@@ -659,8 +659,8 @@ class HealthMonitor:
         self.stats.transitions += 1
         self.obs.counter(f"health.to_{new.value}").inc()
         self.obs.event("health", "transition", device=name, state=new.value)
-        self.obs.timeline("health.up_devices").record(
-            self.engine.now, len(self.up_devices())
+        self.obs.telemetry.record_level(
+            "health.up_devices", self.engine.now, len(self.up_devices())
         )
         for callback in self._callbacks:
             callback()

@@ -1105,8 +1105,6 @@ class _JobExecution:
             task=task.qualified_name, device=device.name,
             attempt=stats.attempts,
         )
-        occupancy = obs.timeline(f"device.occupancy/{device.name}")
-        occupancy.adjust(engine.now, +1)
         ctx = TaskContext(self, task, device.name)
         ctx.span = task_span
         ctx.inputs = list(self._inboxes[task.name])
@@ -1126,7 +1124,6 @@ class _JobExecution:
                 monitor.unwatch(device.name, process)
             device.busy_time += engine.now - stats.started_at
             device.release_slot(slot_request)
-            occupancy.adjust(engine.now, -1)
         stats.finished_at = engine.now
         if task_span:
             task_span.set(queue_delay=stats.queue_delay)

@@ -24,7 +24,7 @@ from repro.sim.events import (
 from repro.sim.flows import FlowNetwork, Link
 from repro.sim.resources import Resource, Store
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import MetricRecorder, TraceLog, TraceEvent
+from repro.sim.trace import TraceLog, TraceEvent
 from repro.sim.faults import FaultInjector, FaultKind, FaultEvent
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "FlowNetwork",
     "Interrupt",
     "Link",
-    "MetricRecorder",
     "Process",
     "ProcessKilled",
     "RandomStreams",

@@ -1,10 +1,11 @@
-"""Structured tracing and metric recording.
+"""Structured tracing.
 
 The paper's Challenge 8 asks how to debug and profile dataflow
 applications across abstraction layers; this module is our answer at the
 simulation level: every subsystem emits typed :class:`TraceEvent` records
-into a shared :class:`TraceLog`, and :class:`MetricRecorder` aggregates
-time-weighted statistics (utilization, queue lengths, ...).
+into a shared :class:`TraceLog`.  Time-weighted statistics
+(utilization, queue lengths, ...) are level series of the telemetry hub
+(:class:`repro.obs.telemetry.WindowedSeries`).
 
 The log is **bounded**: events land in per-category ring buffers so a
 week-long soak run cannot eat the host's memory.  When a ring wraps, the
@@ -242,65 +243,3 @@ class TraceLog:
 
     def __iter__(self):
         return iter(self.events)
-
-
-class MetricRecorder:
-    """Time-weighted statistics over a piecewise-constant signal.
-
-    Record level changes with :meth:`record`; query the time-weighted
-    mean/max afterwards.  Used for utilization and occupancy metrics.
-    """
-
-    def __init__(self, initial: float = 0.0, start_time: float = 0.0):
-        self._level = float(initial)
-        self._last_time = float(start_time)
-        self._weighted_sum = 0.0
-        self._elapsed = 0.0
-        self._max = float(initial)
-        self._min = float(initial)
-        self.samples = 0
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    @property
-    def minimum(self) -> float:
-        return self._min
-
-    def record(self, time: float, level: float) -> None:
-        """The signal changes to ``level`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError(
-                f"time went backwards: {time} < {self._last_time}"
-            )
-        dt = time - self._last_time
-        self._weighted_sum += self._level * dt
-        self._elapsed += dt
-        self._last_time = time
-        self._level = float(level)
-        self._max = max(self._max, self._level)
-        self._min = min(self._min, self._level)
-        self.samples += 1
-
-    def adjust(self, time: float, delta: float) -> None:
-        """Shift the signal by ``delta`` at ``time`` (occupancy counting)."""
-        self.record(time, self._level + delta)
-
-    def time_weighted_mean(self, until: typing.Optional[float] = None) -> float:
-        """Time-weighted mean of the signal up to ``until`` (or last record)."""
-        weighted = self._weighted_sum
-        elapsed = self._elapsed
-        if until is not None:
-            if until < self._last_time:
-                raise ValueError(f"until={until} precedes last record")
-            dt = until - self._last_time
-            weighted += self._level * dt
-            elapsed += dt
-        if elapsed == 0:
-            return self._level
-        return weighted / elapsed

@@ -103,6 +103,20 @@ class TestSettlement:
         for record in result.records:
             assert record.finished_at == handles[record.request.name].finished_at
 
+    def test_memory_utilization_covers_the_run(self, session):
+        # The llm-sampler polls the rack's memory-utilization watcher,
+        # so a serving run fills session.stats like a rack trace does.
+        define_pd_pools(session.cluster)
+        engine = session.cluster.engine
+        start = engine.now
+        LLMEngine(session).serve(stream())
+        util = session.stats.memory_utilization
+        assert util.windows()[0].index - util.dropped == util.window_index(
+            start)
+        assert util.newest().index == util.window_index(engine.now)
+        assert 0.0 < util.mean(engine.now) < 1.0
+        assert util.maximum > 0.0
+
     def test_no_completion_polling(self, session, monkeypatch):
         engine = session.cluster.engine
         names = []

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import connect
+from repro.dataflow import Job, RegionUsage, Task, WorkSpec
 from repro.hardware import calibration as cal
 from repro.hardware.compute import ComputeDevice
 from repro.hardware.devices import CapacityError, DeviceFailed, MemoryDevice
@@ -174,3 +176,34 @@ def test_utilization_tracking():
     engine._now = 20.0  # idle tail
     # Busy 1 slot of 2 for 10 of 20 ns -> 25%.
     assert cpu.utilization(until=20.0) == pytest.approx(0.25)
+
+
+def _dashboard_rows(text: str, title: str) -> dict:
+    """``{first cell: cells}`` of one rendered dashboard table."""
+    lines = text.split(title, 1)[1].split("\n\n", 1)[0].splitlines()
+    return {line.split()[0]: line.split() for line in lines[3:]}
+
+
+def test_busy_slots_is_the_hubs_occupancy_series():
+    session = connect("pooled-rack")
+    cluster = session.cluster
+    job = Job("fan")
+    source = job.add_task(Task("src", work=WorkSpec(
+        ops=1e5, output=RegionUsage(1 << 20))))
+    for i in range(3):
+        sink = job.add_task(Task(f"sink{i}", work=WorkSpec(
+            ops=2e5 * (i + 1), input_usage=RegionUsage(0))))
+        job.connect(source, sink)
+    session.run(job)
+    hub = cluster.obs.telemetry
+    for name, device in cluster.compute.items():
+        assert device.busy_slots is hub.get_series(f"device.occupancy/{name}")
+    now = cluster.engine.now
+    rows = _dashboard_rows(session.dashboard(), "Device utilization")
+    busy = [d for d in cluster.compute.values() if d.busy_slots.windows()]
+    assert busy and sorted(rows) == sorted(d.name for d in busy)
+    for device in busy:
+        # Columns: device, sparkline, mean, peak, history.
+        mean, peak = rows[device.name][-3:-1]
+        assert mean == f"{device.utilization(now) * device.slots:.2f}"
+        assert peak == f"{device.busy_slots.maximum:g}"

@@ -185,8 +185,9 @@ class TestDashboard:
         cluster = run_pipeline(*TRACED, "causal")
         path = tmp_path / "run.jsonl"
         cluster.obs.export_jsonl(str(path))
-        assert cluster.obs.dashboard() == render_dashboard(
-            load_jsonl(str(path)))
+        live = cluster.obs.dashboard()
+        assert "Device utilization" in live
+        assert live == render_dashboard(load_jsonl(str(path)))
 
 
 class TestObsReportCli:

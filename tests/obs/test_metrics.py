@@ -4,11 +4,11 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    Timeline,
+    bucket_index,
 )
+from repro.obs.telemetry import WindowedSeries
 
 
 class TestCounter:
@@ -19,21 +19,6 @@ class TestCounter:
         counter.inc(4)
         assert counter.value == 5.0
         assert counter.snapshot() == {"type": "counter", "value": 5.0}
-
-
-class TestGauge:
-    def test_set_value(self):
-        gauge = Gauge("g")
-        gauge.set(7.5)
-        assert gauge.value == 7.5
-
-    def test_callback_wins_over_set(self):
-        backing = {"n": 3}
-        gauge = Gauge("g", fn=lambda: backing["n"])
-        gauge.set(99)
-        assert gauge.value == 3.0
-        backing["n"] = 11
-        assert gauge.value == 11.0
 
 
 class TestLatencyHistogram:
@@ -100,43 +85,30 @@ class TestLatencyHistogram:
         assert snap["min"] <= snap["p50"] <= snap["p95"] <= snap["max"]
 
 
-class TestTimeline:
-    def test_keeps_samples_and_aggregates(self):
-        timeline = Timeline("occ")
-        timeline.adjust(0.0, +1)
-        timeline.adjust(10.0, +1)
-        timeline.adjust(20.0, -2)
-        assert list(timeline.samples) == [(0.0, 1.0), (10.0, 2.0), (20.0, 0.0)]
-        assert timeline.maximum == 2.0
-        # 1 for 10ns, 2 for 10ns -> mean 1.5 over the recorded window.
-        assert timeline.mean() == pytest.approx(1.5)
+class TestHistogramMath:
+    def test_bucket_index_is_first_bound_not_below_value(self):
+        bounds = (10.0, 100.0, 1000.0)
+        assert [bucket_index(bounds, v)
+                for v in (0.0, 10.0, 10.5, 100.0, 999.0, 1000.0, 1e9)] == [
+            0, 0, 1, 1, 2, 2, 3]
 
-    def test_ring_is_bounded_and_counts_drops(self):
-        timeline = Timeline("occ", max_samples=4)
-        for i in range(10):
-            timeline.record(float(i), float(i))
-        assert len(timeline.samples) == 4
-        assert timeline.dropped == 6
-        # Aggregates still cover the whole run, not just the ring.
-        assert timeline.maximum == 9.0
-
-    def test_needs_two_samples_of_history(self):
-        with pytest.raises(ValueError):
-            Timeline("occ", max_samples=1)
+    def test_window_p95_equals_histogram_p95(self):
+        # One bucket index and one quantile function: a window holding
+        # the same observations answers exactly what the histogram does.
+        hist = LatencyHistogram("lat", bounds=(10, 100, 1000))
+        window = WindowedSeries("lat", 1e6, bounds=hist.bounds)
+        for value in (5.0, 50.0, 60.0, 100.0, 500.0, 5000.0):
+            hist.observe(value)
+            window.observe(0.0, value)
+        stats = window.window_stats(window.windows()[0])
+        assert window.windows()[0].buckets == hist.counts
+        assert stats["p95"] == hist.quantile(0.95)
 
 
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_instance(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.timeline("t") is registry.timeline("t")
-        assert registry.latency("l") is registry.latency("l")
-
-    def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
 
     def test_contains_and_names(self):
         registry = MetricsRegistry()
@@ -163,13 +135,10 @@ class TestMetricsRegistry:
         assert calls == [1]
 
     def test_report_renders_every_kind(self):
+        # The registry holds counters; collector readings are gauges.
         registry = MetricsRegistry()
         registry.counter("count").inc()
-        registry.gauge("gauge").set(2)
-        registry.timeline("line").record(1.0, 4)
-        registry.latency("lat").observe(7.0)
-        text = registry.report()
-        for name in ("count", "gauge", "line", "lat"):
-            assert name in text
-        assert "n=1" in text  # latency row shows count + percentiles
-        assert "p99" in text
+        registry.add_collector(lambda: [("reading", 2)])
+        rows = {line.split()[0]: line.split()[1:]
+                for line in registry.report().splitlines()[3:]}
+        assert rows == {"count": ["counter", "1"], "reading": ["gauge", "2"]}

@@ -101,6 +101,78 @@ class TestWindowedSeriesLevel:
         assert first["mean"] == pytest.approx(1.5)  # 2 for 50ns, 1 for 50ns
 
 
+def _level(max_windows: int = 256) -> WindowedSeries:
+    return WindowedSeries("occ", width_ns=100.0, kind="level",
+                          max_windows=max_windows)
+
+
+class TestLevelLifetimeAggregates:
+    """Exact whole-run mean/max/min of a level series."""
+
+    def test_time_weighted_mean(self):
+        s = _level()
+        s.record_level(0.0, 10.0)  # level 10 from t=0
+        s.record_level(10.0, 20.0)  # level 20 from t=10
+        assert s.mean(until=20.0) == pytest.approx(15.0)
+
+    def test_adjust_occupancy_counting(self):
+        s = _level()
+        s.adjust(0.0, +2)
+        s.adjust(5.0, -1)
+        assert s.level == 1
+        assert s.maximum == 2
+        assert s.mean(until=10.0) == pytest.approx(1.5)
+
+    def test_time_cannot_go_backwards(self):
+        s = _level()
+        s.record_level(5.0, 1.0)
+        with pytest.raises(ValueError):
+            s.record_level(4.0, 2.0)
+        with pytest.raises(ValueError):
+            s.mean(until=1.0)
+
+    def test_no_elapsed_time_returns_current_level(self):
+        s = _level()
+        assert s.mean() == 0.0
+        s.record_level(0.0, 7.0)
+        assert s.mean() == 7.0
+
+    def test_aggregates_and_snapshot(self):
+        s = _level()
+        s.adjust(0.0, +1)
+        s.adjust(10.0, +1)
+        s.adjust(20.0, -2)
+        assert (s.level, s.maximum, s.minimum) == (0.0, 2.0, 0.0)
+        # 1 for 10ns, 2 for 10ns -> mean 1.5 up to the last change.
+        assert s.mean() == pytest.approx(1.5)
+        snap = s.snapshot()
+        assert (snap["mean"], snap["max"]) == (s.mean(), 2.0)
+        assert "mean" not in WindowedSeries("r", 100.0, kind="rate").snapshot()
+
+    def test_dwell_straddling_windows_matches_the_reference_sums(self):
+        # Changes that straddle window boundaries (and skip whole
+        # windows), with only two windows retained: the lifetime
+        # numbers are the plain running sums over every change, bit
+        # for bit, however the dwell was split across windows.
+        changes = [(0.0, 3.0), (130.0, 1.0), (135.5, 4.0), (420.25, 0.5),
+                   (420.25, 6.0), (999.0, 2.0)]
+        s = _level(max_windows=2)
+        weighted = elapsed = last = level = peak = floor = 0.0
+        for t, value in changes:
+            s.record_level(t, value)
+            dwell = t - last
+            weighted += level * dwell
+            elapsed += dwell
+            last, level = t, value
+            peak, floor = max(peak, level), min(floor, level)
+        assert s.dropped > 0
+        until = 1234.5
+        tail = until - last
+        assert s.mean(until) == (weighted + level * tail) / (elapsed + tail)
+        assert s.mean() == weighted / elapsed
+        assert (s.maximum, s.minimum) == (peak, floor) == (6.0, 0.0)
+
+
 class TestWindowedSeriesRate:
     def test_rate_is_total_over_width(self):
         s = WindowedSeries("bytes", width_ns=100.0, kind="rate")
@@ -225,7 +297,7 @@ class TestHubWatchers:
     def test_watch_counter_folds_deltas(self):
         obs = Observability()
         counter = obs.counter("jobs.done")
-        obs.telemetry.watch_counter(counter)
+        obs.telemetry.watch("jobs.done", lambda: counter.value, kind="rate")
         obs.telemetry.poll(0.0)  # baseline
         counter.inc(3)
         obs.telemetry.poll(100_000.0)
@@ -240,43 +312,14 @@ class TestHubWatchers:
     def test_rewatching_same_series_does_not_double_fold(self):
         obs = Observability()
         counter = obs.counter("jobs.done")
-        obs.telemetry.watch_counter(counter)
-        obs.telemetry.watch_counter(counter)  # e.g. a rebuilt runtime
+        for _ in range(2):  # e.g. a rebuilt runtime
+            obs.telemetry.watch("jobs.done", lambda: counter.value,
+                                kind="rate")
         obs.telemetry.poll(0.0)
         counter.inc(4)
         obs.telemetry.poll(100_000.0)
         series = obs.telemetry.get_series("jobs.done")
         assert series.window_stats(series.windows()[-1])["total"] == 4.0
-
-    def test_watch_gauge_samples_level(self):
-        obs = Observability()
-        gauge = obs.gauge("depth")
-        gauge.set(2.0)
-        obs.telemetry.watch_gauge(gauge)
-        obs.telemetry.poll(0.0)
-        gauge.set(6.0)
-        obs.telemetry.poll(50_000.0)
-        obs.telemetry.poll(100_000.0)
-        series = obs.telemetry.get_series("depth")
-        first = series.window_stats(series.windows()[0])
-        assert first["mean"] == pytest.approx(4.0)  # 2 then 6, half each
-
-    def test_watch_latency_folds_in_window_histogram_deltas(self):
-        obs = Observability()
-        hist = obs.registry.latency("rpc")
-        obs.telemetry.watch_latency(hist)
-        hist.observe(1_000.0)
-        hist.observe(3_000.0)
-        obs.telemetry.poll(100_000.0)
-        hist.observe(9_000.0)
-        obs.telemetry.poll(200_000.0)
-        series = obs.telemetry.get_series("rpc")
-        stats = [series.window_stats(w) for w in series.windows()]
-        by_index = {st["index"]: st for st in stats}
-        assert by_index[1]["count"] == 2
-        assert by_index[1]["mean"] == pytest.approx(2_000.0)
-        assert by_index[2]["count"] == 1
-        assert "p95" in by_index[1]
 
     def test_series_kind_conflict_raises(self):
         hub = TelemetryHub()

@@ -1,8 +1,8 @@
-"""Tests for tracing, time-weighted metrics, and the fault injector."""
+"""Tests for tracing and the fault injector."""
 
 import pytest
 
-from repro.sim import Engine, FaultInjector, FaultKind, MetricRecorder, TraceLog
+from repro.sim import Engine, FaultInjector, FaultKind, TraceLog
 from repro.sim.rand import RandomStreams
 
 
@@ -35,33 +35,6 @@ class TestTraceLog:
         log.emit(1500.0, "memory", "allocate", region="r", size=64)
         text = str(log.events[0])
         assert "memory" in text and "allocate" in text and "size=64" in text
-
-
-class TestMetricRecorder:
-    def test_time_weighted_mean(self):
-        recorder = MetricRecorder()
-        recorder.record(0.0, 10.0)  # level 10 from t=0
-        recorder.record(10.0, 20.0)  # level 20 from t=10
-        assert recorder.time_weighted_mean(until=20.0) == pytest.approx(15.0)
-
-    def test_adjust_occupancy_counting(self):
-        recorder = MetricRecorder()
-        recorder.adjust(0.0, +2)
-        recorder.adjust(5.0, -1)
-        assert recorder.level == 1
-        assert recorder.maximum == 2
-        assert recorder.time_weighted_mean(until=10.0) == pytest.approx(1.5)
-
-    def test_time_cannot_go_backwards(self):
-        recorder = MetricRecorder()
-        recorder.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            recorder.record(4.0, 2.0)
-        with pytest.raises(ValueError):
-            recorder.time_weighted_mean(until=1.0)
-
-    def test_no_samples_returns_current_level(self):
-        assert MetricRecorder(initial=7.0).time_weighted_mean() == 7.0
 
 
 class TestRandomStreams:
