@@ -366,6 +366,41 @@ def bench_heft_500(n_tasks: int = 500, repeats: int = 3, seed: int = 3) -> dict:
     )
 
 
+def bench_heft_small_jobs(n_jobs: int = 1000, seed: int = 4) -> dict:
+    """HEFT assignment of many small jobs: the per-job control-plane cost.
+
+    ``n_jobs`` two-task pipelines (producer -> consumer) on the pooled
+    rack, each with its own seeded payload size, so no estimate repeats
+    from one job to the next.  This is the admission path of a tenant
+    flood: what one ``assign()`` costs is paid again for every job.
+    """
+    rng = random.Random(seed)
+    cluster = Cluster.preset("pooled-rack", seed=seed)
+    costmodel = CostModel(cluster)
+    scheduler = HeftScheduler()
+    jobs = []
+    for j in range(n_jobs):
+        job = Job(f"small{j}")
+        produce = job.add_task(Task("produce", work=WorkSpec(
+            ops=rng.uniform(5e4, 2e5),
+            output=RegionUsage(rng.randrange(256 * KiB, 2 * MiB)),
+        )))
+        consume = job.add_task(Task("consume", work=WorkSpec(
+            ops=rng.uniform(5e4, 2e5), input_usage=RegionUsage(0),
+        )))
+        job.connect(produce, consume)
+        jobs.append(job)
+
+    start = time.perf_counter()
+    assignments = [scheduler.assign(job, cluster, costmodel) for job in jobs]
+    wall = time.perf_counter() - start
+    assert all(len(a) == 2 for a in assignments)
+    return _result(
+        "heft_small_jobs", wall, ops=n_jobs, events=0,
+        devices_used=len({d for a in assignments for d in a.values()}),
+    )
+
+
 # -- 3. placement under fragmentation -------------------------------------
 
 
@@ -587,6 +622,7 @@ ALL_BENCHES: typing.Dict[str, typing.Callable[[], dict]] = {
     "flows_shared_link": bench_flows_shared_link,
     "flows_20k": bench_flows_20k,
     "heft_500": bench_heft_500,
+    "heft_small_jobs": bench_heft_small_jobs,
     "placement_fragmentation": bench_placement_fragmentation,
     "soak_transfers": bench_soak_transfers,
     "soak_1m_events": bench_soak_1m_events,

@@ -87,6 +87,9 @@ class Cluster:
         #: prefill vs decode) keep paired tasks on *different* devices
         #: without ever naming a device in the job itself.
         self.device_pools: typing.Dict[str, typing.Tuple[str, ...]] = {}
+        #: The cluster's :class:`repro.memory.coherence.CoherenceModel`,
+        #: created on first use by ``CoherenceModel.for_cluster``.
+        self.coherence = None
 
     # -- construction ------------------------------------------------------
 

@@ -106,16 +106,20 @@ class MemoryDevice:
     def effective_bytes(self, nbytes: int) -> int:
         """Bytes actually moved for a payload of ``nbytes`` given the
         device's access granularity (read–modify–write amplification)."""
-        gran = self.spec.granularity
-        if gran <= 1:
-            return nbytes
-        return ((nbytes + gran - 1) // gran) * gran
+        return amplified_bytes(nbytes, self.spec.granularity)
 
     def __repr__(self) -> str:
         return (
             f"<MemoryDevice {self.name} ({self.kind.value}) "
             f"{self.used}/{self.capacity} B{' FAILED' if self.failed else ''}>"
         )
+
+
+def amplified_bytes(nbytes: int, granularity: int) -> int:
+    """``nbytes`` rounded up to whole ``granularity``-byte granules."""
+    if granularity <= 1:
+        return nbytes
+    return ((nbytes + granularity - 1) // granularity) * granularity
 
 
 def total_capacity(devices: typing.Iterable[MemoryDevice]) -> int:

@@ -22,20 +22,23 @@ abstraction at region granularity:
 Exclusive regions, and shared regions touched by a single observer,
 pay nothing — making the ownership distinction measurable, not just
 documented.
+
+Each cluster has at most one model, kept on the cluster itself
+(``cluster.coherence``, created by :meth:`CoherenceModel.for_cluster`
+on first use).  Nothing outside the cluster refers to it, so a cluster
+and its sharing state are freed together once the session that built
+them is dropped.
 """
 
 from __future__ import annotations
 
 import typing
-import weakref
 
 from repro.memory.ownership import OwnershipMode
 from repro.memory.region import MemoryRegion
 
 #: Directory/protocol processing cost per invalidated sharer (ns).
 DIRECTORY_COST_PER_SHARER_NS = 10.0
-
-_registry: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class CoherenceModel:
@@ -54,10 +57,9 @@ class CoherenceModel:
     @classmethod
     def for_cluster(cls, cluster) -> "CoherenceModel":
         """The (per-cluster singleton) coherence model for ``cluster``."""
-        model = _registry.get(cluster)
+        model = cluster.coherence
         if model is None:
-            model = cls(cluster)
-            _registry[cluster] = model
+            model = cluster.coherence = cls(cluster)
         return model
 
     # -- cost computation -------------------------------------------------

@@ -24,13 +24,12 @@ are marked async-only).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import typing
 
 from repro.hardware.cluster import Cluster
-from repro.hardware.devices import MemoryDevice
+from repro.hardware.devices import MemoryDevice, amplified_bytes
 from repro.memory.region import RegionHandle
 
 
@@ -65,8 +64,7 @@ SYNC_MLP = 4
 ASYNC_OP_OVERHEAD_NS = 25.0
 
 
-@dataclasses.dataclass(frozen=True)
-class AccessPlan:
+class AccessPlan(typing.NamedTuple):
     """The analytic decomposition of one region access."""
 
     latency_ns: float  # pure latency component (not bandwidth-limited)
@@ -104,6 +102,10 @@ def access_plan(
     bandwidth.  Random sync accesses pay the round trip serially; random
     async accesses overlap ``queue_depth`` of them.  Wire bytes are
     amplified to the device's access granularity.
+
+    The size-independent part is an :class:`AccessPath`; callers that
+    plan many sizes over one path (the cost model) keep the path and
+    call :meth:`AccessPath.plan` directly.
     """
     if nbytes < 0:
         raise ValueError(f"negative access size: {nbytes}")
@@ -113,34 +115,70 @@ def access_plan(
         raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
     if nbytes == 0:
         return AccessPlan(0.0, 0.0, 0)
+    return AccessPath.between(device, path_latency_ns, is_write).plan(
+        nbytes, pattern, mode, access_size, queue_depth
+    )
 
-    media_latency = device.spec.latency
-    if is_write:
-        media_latency *= device.spec.write_penalty
-    round_trip = 2.0 * path_latency_ns + media_latency + PER_OP_OVERHEAD_NS
 
-    n_ops = max(1, math.ceil(nbytes / access_size))
-    granularity = device.spec.granularity
-    if pattern is AccessPattern.RANDOM:
-        # Every op touches a separate granule -> full amplification.
-        wire_bytes = float(n_ops * max(access_size, granularity))
-        if mode is AccessMode.SYNC:
-            # Out-of-order cores overlap SYNC_MLP misses — but nothing
-            # makes a single miss cheaper than one full round trip.
-            latency = max(round_trip, n_ops * round_trip / SYNC_MLP)
+class AccessPath(typing.NamedTuple):
+    """The size-independent constants of accessing one device from one
+    observer in one direction: the per-op round trip and the device's
+    access granularity."""
+
+    round_trip_ns: float
+    granularity: int
+
+    @classmethod
+    def between(
+        cls, device: MemoryDevice, path_latency_ns: float, is_write: bool
+    ) -> "AccessPath":
+        """The path to ``device`` over a fabric route of the given
+        one-way latency."""
+        media_latency = device.spec.latency
+        if is_write:
+            media_latency *= device.spec.write_penalty
+        return cls(
+            round_trip_ns=2.0 * path_latency_ns + media_latency + PER_OP_OVERHEAD_NS,
+            granularity=device.spec.granularity,
+        )
+
+    def plan(
+        self,
+        nbytes: int,
+        pattern: AccessPattern,
+        mode: AccessMode,
+        access_size: int,
+        queue_depth: int = DEFAULT_QUEUE_DEPTH,
+    ) -> AccessPlan:
+        """The plan for touching ``nbytes`` (> 0) over this path."""
+        round_trip, granularity = self
+        n_ops = max(1, math.ceil(nbytes / access_size))
+        if pattern is _RANDOM:
+            # Every op touches a separate granule -> full amplification.
+            wire_bytes = float(n_ops * max(access_size, granularity))
+            if mode is _SYNC:
+                # Out-of-order cores overlap SYNC_MLP misses — but nothing
+                # makes a single miss cheaper than one full round trip.
+                latency = max(round_trip, n_ops * round_trip / SYNC_MLP)
+            else:
+                # Explicit async: queue_depth in flight, but every request
+                # pays its software issue/completion cost.  The pipeline-fill
+                # round trip overlaps with steady-state issue, so the total
+                # is bounded below by one round trip, not prefixed by it.
+                per_op = max(ASYNC_OP_OVERHEAD_NS, round_trip / queue_depth)
+                latency = max(round_trip, n_ops * per_op)
         else:
-            # Explicit async: queue_depth in flight, but every request
-            # pays its software issue/completion cost.  The pipeline-fill
-            # round trip overlaps with steady-state issue, so the total
-            # is bounded below by one round trip, not prefixed by it.
-            per_op = max(ASYNC_OP_OVERHEAD_NS, round_trip / queue_depth)
-            latency = max(round_trip, n_ops * per_op)
-    else:
-        # Prefetchable stream: pay the round trip once; the device port
-        # and fabric links bound the streaming part via wire_bytes.
-        wire_bytes = float(device.effective_bytes(nbytes))
-        latency = round_trip
-    return AccessPlan(latency_ns=latency, wire_bytes=wire_bytes, n_ops=n_ops)
+            # Prefetchable stream: pay the round trip once; the device port
+            # and fabric links bound the streaming part via wire_bytes.
+            wire_bytes = float(amplified_bytes(nbytes, granularity))
+            latency = round_trip
+        return AccessPlan(latency, wire_bytes, n_ops)
+
+
+#: Members compared on every planned access, bound once (looking a
+#: member up on its Enum class costs more than the rest of a plan step).
+_RANDOM = AccessPattern.RANDOM
+_SYNC = AccessMode.SYNC
 
 
 #: Fallback software crypto rate when the observer has no CRYPTO units

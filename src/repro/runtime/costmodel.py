@@ -3,10 +3,19 @@
 The paper (§3, Challenges 1–3) requires the RTS to "schedule and map
 tasks to different types of devices using cost models that consider
 topology and access paths".  This module derives everything from the
-cluster's topology plus the *same* :func:`~repro.memory.interfaces.access_plan`
-function the simulator executes, so the optimizer's estimates and the
-simulated outcomes agree structurally (they still diverge under
-contention, which only the simulation sees).
+cluster's topology plus the *same* access-plan arithmetic the simulator
+executes (:class:`~repro.memory.interfaces.AccessPath`), so the
+optimizer's estimates and the simulated outcomes agree structurally
+(they still diverge under contention, which only the simulation sees).
+
+Every job is scheduled and placed through these estimates, so one
+estimate must stay cheap.  What an access costs depends on the size
+only through :meth:`AccessPath.plan`; everything else — the offered
+bandwidth, the sync flag, the round trip and the granularity — is a
+constant per (observer, device, direction), cached next to the offers
+and dropped with them when the fabric's topology epoch moves.  There is
+no per-usage memo: the caches are bounded by the device inventory, not
+by the number of distinct sizes ever asked about.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.devices import MemoryDevice
 from repro.hardware.interconnect import NoRouteError
 from repro.hardware.spec import Attachment
-from repro.memory.interfaces import AccessMode, AccessPattern, access_plan
+from repro.memory.interfaces import AccessMode, AccessPath, AccessPattern
 from repro.memory.properties import (
     BandwidthClass,
     LatencyClass,
@@ -30,19 +39,29 @@ from repro.memory.properties import (
 OWNERSHIP_TRANSFER_NS = 100.0
 
 
+class _InputTouch(typing.NamedTuple):
+    """What :meth:`CostModel.access_time` reads of a usage, for an input
+    whose size is only known from the upstream tasks' outputs."""
+
+    touched_bytes: int
+    pattern: AccessPattern
+    access_size: int
+
+
 class CostModel:
     """Answers 'what would it cost' questions for placement/scheduling."""
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self._offer_cache: dict = {}
-        self._access_cache: dict = {}
+        #: (observer, device name, is_write) -> (offered bytes/ns, the
+        #: default mode the offered sync flag implies, AccessPath or None
+        #: when unreachable).
+        self._path_cache: dict = {}
         self._scratch_cache: dict = {}
-        self._seen_epoch = self._topology_epoch()
-
-    def _topology_epoch(self) -> int:
-        flownet = getattr(self.cluster, "flownet", None)
-        return flownet.topology_epoch if flownet is not None else 0
+        self._mean_bandwidth: typing.Optional[float] = None
+        self._seen_epoch = 0
+        self._check_epoch()
 
     def _check_epoch(self) -> None:
         """Self-invalidate when the fabric changed under us.
@@ -51,12 +70,11 @@ class CostModel:
         so cached NoRouteError offers can't outlive the outage that
         produced them even if no explicit ``invalidate()`` caller fires.
         """
-        epoch = self._topology_epoch()
+        flownet = getattr(self.cluster, "flownet", None)
+        epoch = flownet.topology_epoch if flownet is not None else 0
         if epoch != self._seen_epoch:
             self._seen_epoch = epoch
-            self._offer_cache.clear()
-            self._access_cache.clear()
-            self._scratch_cache.clear()
+            self.invalidate()
 
     # -- offered properties (Figure 3: device value depends on observer) --
 
@@ -97,8 +115,9 @@ class CostModel:
     def invalidate(self) -> None:
         """Drop cached offers (topology or device state changed)."""
         self._offer_cache.clear()
-        self._access_cache.clear()
+        self._path_cache.clear()
         self._scratch_cache.clear()
+        self._mean_bandwidth = None
 
     # -- access costs --------------------------------------------------------
 
@@ -111,30 +130,36 @@ class CostModel:
         mode: typing.Optional[AccessMode] = None,
     ) -> float:
         """Uncontended estimate for one region usage (ns)."""
-        if usage.touched_bytes == 0:
+        nbytes = usage.touched_bytes
+        if nbytes == 0:
             return 0.0
-        # RegionUsage is a frozen dataclass, so the whole call signature
-        # is hashable; schedulers probe the same (observer, device,
-        # usage) triples over and over while ranking candidates.
-        memo_key = (observer, device.name, usage, is_write, mode)
-        cached = self._access_cache.get(memo_key)
-        if cached is not None:
-            return cached
-        offer = self.offered(observer, device)  # also runs the epoch check
-        if offer.bytes_per_ns == 0.0:
-            self._access_cache[memo_key] = float("inf")
+        self._check_epoch()
+        constants = self._path_cache.get((observer, device.name, is_write))
+        if constants is None:
+            constants = self._path_constants(observer, device, is_write)
+        bytes_per_ns, default_mode, path = constants
+        if path is None:
             return float("inf")
-        if mode is None:
-            mode = AccessMode.SYNC if offer.sync else AccessMode.ASYNC
-        path_latency = self.cluster.topology.path_latency(observer, device.name)
-        plan = access_plan(
-            device, path_latency, usage.touched_bytes,
-            pattern=usage.pattern, mode=mode, access_size=usage.access_size,
-            is_write=is_write,
-        )
-        estimate = plan.lower_bound_ns(offer.bytes_per_ns)
-        self._access_cache[memo_key] = estimate
-        return estimate
+        plan = path.plan(nbytes, usage.pattern, mode or default_mode,
+                         usage.access_size)
+        return plan.lower_bound_ns(bytes_per_ns)
+
+    def _path_constants(
+        self, observer: str, device: MemoryDevice, is_write: bool
+    ) -> tuple:
+        """The size-independent part of :meth:`access_time`, cached."""
+        offer = self.offered(observer, device)
+        path = None
+        if offer.bytes_per_ns != 0.0:
+            path = AccessPath.between(
+                device,
+                self.cluster.topology.path_latency(observer, device.name),
+                is_write,
+            )
+        default_mode = AccessMode.SYNC if offer.sync else AccessMode.ASYNC
+        constants = (offer.bytes_per_ns, default_mode, path)
+        self._path_cache[(observer, device.name, is_write)] = constants
+        return constants
 
     def transfer_time(self, src: MemoryDevice, dst: MemoryDevice, nbytes: int) -> float:
         """Uncontended estimate for a device-to-device copy (ns)."""
@@ -194,13 +219,11 @@ class CostModel:
 
         input_device = memory_for("input")
         if work.input_usage is not None and input_device is not None and input_bytes:
-            usage = RegionUsage(
-                size=input_bytes,
-                touches=work.input_usage.touches,
-                pattern=work.input_usage.pattern,
-                access_size=work.input_usage.access_size,
-            )
-            total += self.access_time(compute_name, input_device, usage)
+            usage = work.input_usage
+            total += self.access_time(compute_name, input_device, _InputTouch(
+                int(input_bytes * usage.touches), usage.pattern,
+                usage.access_size,
+            ))
 
         scratch_device = memory_for("scratch")
         if work.scratch is not None and scratch_device is not None:
@@ -238,3 +261,13 @@ class CostModel:
                 best, best_rtt = device, offer.rtt_ns
         self._scratch_cache[observer] = best
         return best
+
+    def mean_memory_bandwidth(self) -> float:
+        """The mean bandwidth of the live memory devices (bytes/ns): a
+        placement-independent figure for ranking tasks before any
+        memory is chosen."""
+        self._check_epoch()
+        if self._mean_bandwidth is None:
+            bandwidths = [d.spec.bandwidth for d in self.cluster.memory_devices()]
+            self._mean_bandwidth = sum(bandwidths) / max(1, len(bandwidths))
+        return self._mean_bandwidth

@@ -680,7 +680,7 @@ class _JobExecution:
         tenant: typing.Optional[str] = None,
         priority=None,
     ):
-        job.validate()
+        # The job is validated once, by the scheduler's assign() below.
         self.rts = rts
         self.job = job
         self.job_owner = f"job:{job.name}#{job.id}"
@@ -752,12 +752,6 @@ class _JobExecution:
         #: Per-job retry token bucket (None = unlimited, the legacy shape).
         self.retry_budget = (
             rts.recovery.make_retry_budget() if rts.recovery is not None else None
-        )
-        #: Seeded per-job stream for decorrelated retry jitter: co-failed
-        #: tasks draw different delays, so one storm's retries fan out
-        #: instead of colliding on the same wake tick.
-        self._retry_rng = rts.cluster.streams.stream(
-            f"retry-jitter:{self.job_owner}"
         )
         self._start()
 
@@ -1209,8 +1203,13 @@ class _JobExecution:
             self._failed_on.setdefault(task.name, set()).add(
                 self.assignment[task.name]
             )
+        # Seeded per-job stream for decorrelated retry jitter: co-failed
+        # tasks draw different delays, so one storm's retries fan out
+        # instead of colliding on the same wake tick.  Created by the
+        # job's first retry; most jobs never retry.
+        retry_rng = rts.cluster.streams.stream(f"retry-jitter:{self.job_owner}")
         delay = rts.recovery.jittered_backoff_ns(
-            stats.attempts, self._retry_rng, stats.last_backoff_ns
+            stats.attempts, retry_rng, stats.last_backoff_ns
         )
         stats.last_backoff_ns = delay
         yield engine.timeout(delay)
@@ -1317,9 +1316,14 @@ class _JobExecution:
             fresh = [d for d in preferred if not monitor.is_degraded(d.name)]
             preferred = fresh or preferred
 
+        input_bytes = sum(u.work.output_size for u in task.upstream())
+
         def estimate(d):
             try:
-                return HeftScheduler._exec_estimate(task, d.name, rts.costmodel)
+                return HeftScheduler._exec_estimate(
+                    task, d.name, rts.costmodel,
+                    rts.costmodel.best_scratch_device(d.name), input_bytes,
+                )
             except Exception:  # noqa: BLE001 - unreachable memory etc.
                 return float("inf")
 

@@ -18,6 +18,7 @@ import typing
 from repro.dataflow.graph import Job, Task
 from repro.hardware.cluster import Cluster
 from repro.hardware.compute import ComputeDevice
+from repro.hardware.devices import MemoryDevice
 from repro.runtime.costmodel import OWNERSHIP_TRANSFER_NS, CostModel
 
 
@@ -48,6 +49,18 @@ class Scheduler:
         when attached, rules out SUSPECT/DOWN/DRAINING and blacklisted
         devices — unless that would leave nothing to schedule on, in
         which case the health filter is waived rather than deadlocking."""
+        return Scheduler._task_candidates(
+            task, cluster, Scheduler._usable_devices(cluster, allowed),
+            constrained=allowed is not None,
+        )
+
+    @staticmethod
+    def _usable_devices(
+        cluster: Cluster, allowed: typing.Optional[typing.Set[str]] = None
+    ) -> typing.List[ComputeDevice]:
+        """The task-independent part of :meth:`candidates`: live devices
+        after the health filter, restricted to ``allowed``.  Schedulers
+        compute it once per job."""
         devices = cluster.compute_devices()
         monitor = getattr(cluster, "health_monitor", None)
         if monitor is not None:
@@ -55,6 +68,17 @@ class Scheduler:
             devices = healthy or devices
         if allowed is not None:
             devices = [d for d in devices if d.name in allowed]
+        return devices
+
+    @staticmethod
+    def _task_candidates(
+        task: Task,
+        cluster: Cluster,
+        devices: typing.List[ComputeDevice],
+        constrained: bool,
+    ) -> typing.List[ComputeDevice]:
+        """The per-task part of :meth:`candidates`: pool, kind, op-class
+        and degraded filters over the usable ``devices``."""
         pool = getattr(task.properties, "device_pool", None)
         if pool is not None and pool in cluster.device_pools:
             members = set(cluster.device_pools[pool])
@@ -75,9 +99,10 @@ class Scheduler:
                 f"no compute device can run task {task.qualified_name!r} "
                 f"(kind={task.properties.compute}, op={task.work.op_class}"
                 + (", constrained to the job's Global State coherence domain"
-                   if allowed is not None else "")
+                   if constrained else "")
                 + ")"
             )
+        monitor = getattr(cluster, "health_monitor", None)
         if monitor is not None and hasattr(monitor, "is_degraded"):
             # Devices observed fail-slow are a last resort: schedule
             # around them while any non-degraded *feasible* device
@@ -135,9 +160,19 @@ class HeftScheduler(Scheduler):
         job.validate()
         tasks = job.topological_order()
         allowed = self.state_domain(job, cluster, costmodel)
+        # Everything that does not depend on the task is computed once
+        # per job: the health-filtered devices and, for every candidate,
+        # the hypothetical scratch device its estimates assume.
+        usable = self._usable_devices(cluster, allowed)
+        constrained = allowed is not None
         candidates = {
-            t.name: self.candidates(t, cluster, allowed) for t in tasks
+            t.name: self._task_candidates(t, cluster, usable, constrained)
+            for t in tasks
         }
+        names = dict.fromkeys(
+            d.name for devices in candidates.values() for d in devices
+        )
+        scratch = {name: costmodel.best_scratch_device(name) for name in names}
         # Large DAGs repeat a handful of task shapes across hundreds of
         # tasks; estimate each (shape, device) pair once per assign().
         # The shape tuple captures every WorkSpec field the estimate
@@ -156,12 +191,14 @@ class HeftScheduler(Scheduler):
                 key = (shape, d.name)
                 estimate = est_memo.get(key)
                 if estimate is None:
-                    estimate = self._exec_estimate(t, d.name, costmodel)
+                    estimate = self._exec_estimate(
+                        t, d.name, costmodel, scratch[d.name], input_bytes
+                    )
                     est_memo[key] = estimate
                 times[d.name] = estimate
             exec_time[t.name] = times
 
-        rank = self._upward_ranks(job, cluster, costmodel, exec_time)
+        rank = self._upward_ranks(tasks, costmodel, exec_time)
         order = sorted(tasks, key=lambda t: -rank[t.name])
 
         assignment: Assignment = {}
@@ -191,13 +228,12 @@ class HeftScheduler(Scheduler):
                     if comm is None:
                         comm = self._edge_cost(
                             pred, assignment[pred.name], device.name,
-                            cluster, costmodel,
+                            cluster, costmodel, scratch,
                         )
                         edge_memo[ekey] = comm
                     ready = max(ready, finish[pred.name] + comm)
-                slots = device_slots[device.name]
-                slot_index = min(range(len(slots)), key=lambda i: slots[i])
-                start = max(ready, slots[slot_index])
+                # Start on the device's earliest-free slot.
+                start = max(ready, min(device_slots[device.name]))
                 eft = start + exec_time[task.name][device.name]
                 if eft < best_eft:
                     best_device, best_eft, best_start = device, eft, start
@@ -206,8 +242,7 @@ class HeftScheduler(Scheduler):
             assignment[task.name] = best_device.name
             finish[task.name] = best_eft
             slots = device_slots[best_device.name]
-            slot_index = min(range(len(slots)), key=lambda i: slots[i])
-            slots[slot_index] = best_eft
+            slots[slots.index(min(slots))] = best_eft
         est_makespan = max(finish.values()) if finish else 0.0
         self.last_estimate = {
             "job": job.name,
@@ -227,21 +262,23 @@ class HeftScheduler(Scheduler):
     # -- estimates ----------------------------------------------------------
 
     @staticmethod
-    def _exec_estimate(task: Task, device_name: str, costmodel: CostModel) -> float:
-        scratch_device = costmodel.best_scratch_device(device_name)
-
-        def memory_for(role: str):
-            return scratch_device
-
-        input_bytes = sum(u.work.output_size for u in task.upstream())
+    def _exec_estimate(
+        task: Task,
+        device_name: str,
+        costmodel: CostModel,
+        scratch_device: typing.Optional[MemoryDevice],
+        input_bytes: int,
+    ) -> float:
+        """``task`` on ``device_name`` with every role's memory on the
+        device's hypothetical scratch device."""
         return costmodel.task_time_estimate(
-            task, device_name, memory_for, input_bytes=input_bytes
+            task, device_name, lambda role: scratch_device,
+            input_bytes=input_bytes,
         )
 
+    @staticmethod
     def _upward_ranks(
-        self,
-        job: Job,
-        cluster: Cluster,
+        tasks: typing.List[Task],
         costmodel: CostModel,
         exec_time: typing.Dict[str, typing.Dict[str, float]],
     ) -> typing.Dict[str, float]:
@@ -250,15 +287,13 @@ class HeftScheduler(Scheduler):
             / max(1, sum(1 for v in times.values() if v < float("inf")))
             for name, times in exec_time.items()
         }
-        # Rough fleet-average bandwidth for the ranking phase only;
-        # constant across the whole DAG, so compute it once.
-        bandwidths = [d.spec.bandwidth for d in cluster.memory_devices()]
-        mean_bw = sum(bandwidths) / max(1, len(bandwidths))
+        # Rough fleet-average bandwidth for the ranking phase only.
+        mean_bw = costmodel.mean_memory_bandwidth()
         rank: typing.Dict[str, float] = {}
-        for task in reversed(job.topological_order()):
+        for task in reversed(tasks):
             downstream_cost = 0.0
             if task.work.output_size:
-                comm = self._mean_edge_cost(task, mean_bw)
+                comm = HeftScheduler._mean_edge_cost(task, mean_bw)
                 for succ in task.downstream():
                     downstream_cost = max(
                         downstream_cost, comm + rank[succ.name]
@@ -283,9 +318,12 @@ class HeftScheduler(Scheduler):
         device: str,
         cluster: Cluster,
         costmodel: CostModel,
+        scratch: typing.Dict[str, typing.Optional[MemoryDevice]],
     ) -> float:
         """Edge cost under the ownership model: a metadata update when a
-        shared-addressable placement exists, a physical copy otherwise."""
+        shared-addressable placement exists, a physical copy otherwise.
+        ``scratch`` maps each candidate to its hypothetical scratch
+        device."""
         nbytes = pred.work.output_size
         if nbytes == 0:
             return 0.0
@@ -297,8 +335,8 @@ class HeftScheduler(Scheduler):
                 device, mem.name
             ):
                 return OWNERSHIP_TRANSFER_NS
-        src = costmodel.best_scratch_device(pred_device)
-        dst = costmodel.best_scratch_device(device)
+        src = scratch[pred_device]
+        dst = scratch[device]
         if src is None or dst is None:
             return float("inf")
         return costmodel.transfer_time(src, dst, nbytes)
@@ -314,9 +352,12 @@ class RoundRobinScheduler(Scheduler):
         """Cycle tasks through feasible devices, ignoring costs."""
         job.validate()
         allowed = self.state_domain(job, cluster, costmodel)
+        usable = self._usable_devices(cluster, allowed)
         assignment: Assignment = {}
         for task in job.topological_order():
-            devices = self.candidates(task, cluster, allowed)
+            devices = self._task_candidates(
+                task, cluster, usable, constrained=allowed is not None
+            )
             assignment[task.name] = devices[self._cursor % len(devices)].name
             self._cursor += 1
         return assignment
@@ -333,9 +374,12 @@ class RandomScheduler(Scheduler):
         job.validate()
         allowed = self.state_domain(job, cluster, costmodel)
         rng = cluster.streams.stream(self.stream_name)
+        usable = self._usable_devices(cluster, allowed)
         assignment: Assignment = {}
         for task in job.topological_order():
-            devices = self.candidates(task, cluster, allowed)
+            devices = self._task_candidates(
+                task, cluster, usable, constrained=allowed is not None
+            )
             assignment[task.name] = devices[int(rng.integers(0, len(devices)))].name
         return assignment
 

@@ -131,3 +131,29 @@ class TestCoherenceThroughAccessor:
         run(cluster, private_writes())
         private_time = cluster.engine.now - t0
         assert ping_pong_time > private_time * 1.5
+
+
+class TestClusterLifetime:
+    def test_dropped_session_frees_its_cluster(self):
+        """The coherence model lives on its cluster, so a session whose
+        job touched memory (and built the model) leaves nothing behind
+        that keeps the cluster reachable once it is dropped."""
+        import gc
+        import weakref
+
+        from repro import connect
+        from repro.dataflow import Job, RegionUsage, Task, WorkSpec
+
+        session = connect("pooled-rack", seed=75)
+        job = Job("touch")
+        job.add_task(Task("write", work=WorkSpec(
+            ops=1e4, output=RegionUsage(64 * KiB))))
+        job.add_task(Task("read", work=WorkSpec(
+            ops=1e4, input_usage=RegionUsage(0))))
+        job.connect("write", "read")
+        session.run(job)
+        cluster = weakref.ref(session.cluster)
+        assert cluster().coherence is not None  # the job built the model
+        del session, job
+        gc.collect()
+        assert cluster() is None

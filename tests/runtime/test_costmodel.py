@@ -1,11 +1,14 @@
 """Tests for the cost model (offers, access times, transfer estimates)."""
 
+import itertools
+import random
+
 import pytest
 
-from repro.dataflow import RegionUsage, Task, WorkSpec
-from repro.hardware import Cluster
+from repro.dataflow import Job, RegionUsage, Task, WorkSpec
+from repro.hardware import Cluster, presets
 from repro.hardware.spec import OpClass
-from repro.memory.interfaces import AccessPattern
+from repro.memory.interfaces import AccessMode, AccessPattern, access_plan
 from repro.memory.properties import BandwidthClass, LatencyClass
 from repro.runtime import CostModel
 
@@ -140,3 +143,105 @@ class TestTaskEstimates:
         cluster, cm = pooled
         best = cm.best_scratch_device("cpu1")
         assert best.name in ("dram-local1", "dram-local2")
+
+
+MiB = 1024 * 1024
+
+
+class TestEstimateParity:
+    """The cost model's estimates are the data plane's access plans:
+    same arithmetic, same operation order, so equal to the last bit."""
+
+    @staticmethod
+    def reference(cluster, cm, observer, device, nbytes, pattern, mode,
+                  is_write):
+        """What the estimate must be, from the offer plus access_plan."""
+        if nbytes == 0:
+            return 0.0
+        offer = cm.offered(observer, device)
+        if offer.bytes_per_ns == 0.0:
+            return float("inf")
+        if mode is None:
+            mode = AccessMode.SYNC if offer.sync else AccessMode.ASYNC
+        plan = access_plan(
+            device, cluster.topology.path_latency(observer, device.name),
+            nbytes, pattern=pattern, mode=mode, is_write=is_write,
+        )
+        return plan.lower_bound_ns(offer.bytes_per_ns)
+
+    @pytest.mark.parametrize("preset", presets.available())
+    def test_access_time_equals_access_plan_bound(self, preset):
+        cluster = Cluster.preset(preset)
+        cm = CostModel(cluster)
+        checked = 0
+        for observer in cluster.compute:
+            for device in cluster.memory_devices():
+                gran = device.spec.granularity
+                sizes = sorted({0, 1, gran - 1, gran, gran + 1, 64 * MiB})
+                for nbytes, pattern, mode, is_write in itertools.product(
+                    sizes, AccessPattern,
+                    (AccessMode.SYNC, AccessMode.ASYNC, None), (False, True),
+                ):
+                    usage = RegionUsage(nbytes, pattern=pattern)
+                    got = cm.access_time(observer, device, usage,
+                                         is_write=is_write, mode=mode)
+                    want = self.reference(cluster, cm, observer, device,
+                                          nbytes, pattern, mode, is_write)
+                    assert got == want, (
+                        preset, observer, device.name, nbytes, pattern,
+                        mode, is_write)
+                    checked += 1
+        assert checked > 0
+
+    def test_input_phase_matches_a_region_usage(self, pooled):
+        """The input phase, sized from upstream outputs, costs what the
+        equivalent RegionUsage would."""
+        cluster, cm = pooled
+        job = Job("j")
+        up = job.add_task(Task("up", work=WorkSpec(
+            ops=1e4, output=RegionUsage(3 * MiB + 7))))
+        down = job.add_task(Task("down", work=WorkSpec(
+            ops=1e4, input_usage=RegionUsage(
+                0, touches=1.5, pattern=AccessPattern.RANDOM,
+                access_size=256))))
+        job.connect(up, down)
+        scratch = cm.best_scratch_device("cpu1")
+        input_bytes = 3 * MiB + 7
+        estimate = cm.task_time_estimate(
+            down, "cpu1", lambda role: scratch, input_bytes=input_bytes)
+        usage = RegionUsage(input_bytes, touches=1.5,
+                            pattern=AccessPattern.RANDOM, access_size=256)
+        assert estimate == (cm.compute_time(down, "cpu1")
+                            + cm.access_time("cpu1", scratch, usage))
+
+    def test_caches_are_bounded_by_the_inventory(self, pooled):
+        """10,000 distinct sizes leave at most one entry per (observer,
+        device, direction): nothing is memoized per usage."""
+        cluster, cm = pooled
+        observers = list(cluster.compute)
+        devices = cluster.memory_devices()
+        pairs = [(o, d, w) for o in observers for d in devices
+                 for w in (False, True)]
+        rng = random.Random(21)
+        sizes = rng.sample(range(1, 1 << 30), 10_000)
+        for i, nbytes in enumerate(sizes):
+            observer, device, is_write = pairs[i % len(pairs)]
+            cm.access_time(observer, device, RegionUsage(nbytes),
+                           is_write=is_write)
+        bound = 2 * len(observers) * len(devices)
+        assert len(cm._path_cache) <= bound
+        assert len(cm._offer_cache) <= len(observers) * len(devices)
+
+    def test_constants_follow_the_topology_epoch(self, pooled):
+        """A link failure moves the epoch and drops the cached constants
+        with the offers, so estimates never outlive the route."""
+        cluster, cm = pooled
+        device = cluster.memory["dram-pool0"]
+        usage = RegionUsage(MiB)
+        before = cm.access_time("cpu1", device, usage)
+        assert cm._path_cache
+        cluster.flownet.fail_link(device.port)
+        cm.access_time("gpu1", cluster.memory["gddr1"], usage)
+        assert ("cpu1", "dram-pool0", False) not in cm._path_cache
+        cluster.flownet.restore_link(device.port)
+        assert cm.access_time("cpu1", device, usage) == before
