@@ -11,10 +11,13 @@ honestly via self-metering:
   sim-time windows with deterministic boundaries (window ``i`` covers
   ``[i*width, (i+1)*width)``; two runs with the same events produce the
   same windows).  Each window keeps count/sum/min/max (plus log-bucket
-  counts for in-window percentiles of sampled values); a bounded deque
-  of closed windows gives recent history, older windows are dropped and
-  counted.  A ``level`` series is the package's one time-weighted level
-  type: besides its windows it keeps exact lifetime mean/max/min, so
+  counts for in-window percentiles of sampled values); a bounded
+  history of closed windows gives recent history, older windows are
+  dropped and counted, and a run of empty windows is stored as one gap
+  record that every query reads as the windows it stands for, so idle
+  time costs nothing.  A ``level`` series is the package's one
+  time-weighted level type: besides its windows it keeps exact
+  lifetime mean/max/min, so
   compute-device occupancy (``device.occupancy/<name>``, which is
   ``ComputeDevice.busy_slots``), rack running/queued depth, pool memory
   utilization and the health monitor's up-device count are each
@@ -23,9 +26,11 @@ honestly via self-metering:
   (:class:`BurnRateRule`: a fast and a slow trailing window must both
   burn above the open threshold; a lower close threshold provides
   hysteresis) over the windowed miss/total series the
-  :class:`~repro.obs.slo.SloTracker` feeds on every observation.
-  Alert open/close pairs are recorded as ``alert``-category spans and
-  counted, so they land in exports and on the dashboard.
+  :class:`~repro.obs.slo.SloTracker` feeds on every observation.  Each
+  rule keeps integer counts of the windows inside its slow span, and a
+  poll's sweep visits only the rules those counts or an open alert keep
+  live.  Alert open/close pairs are recorded as ``alert``-category
+  spans and counted, so they land in exports and on the dashboard.
 * :class:`SampledHotness` tracks per-region and per-device access heat
   from a deterministic 1-in-N sample of accesses, with space-saving
   top-k estimation so memory stays O(k) no matter how many regions a
@@ -90,6 +95,71 @@ class _Window:
         self.buckets = [0] * buckets if buckets else None
 
 
+class _Gap:
+    """A run of ``n`` empty windows from ``first`` on, held at ``level``
+    (a ``level`` series' value over the run; unused by other kinds)."""
+
+    __slots__ = ("first", "n", "level")
+
+    def __init__(self, first: int, n: int, level: float):
+        self.first = first
+        self.n = n
+        self.level = level
+
+
+class _History:
+    """A series' closed windows: :class:`_Window` entries and
+    :class:`_Gap` runs, bounded and counted in logical windows.
+
+    ``len()`` is the number of logical windows retained; iterating
+    yields every one of them as a :class:`_Window`, oldest first (gap
+    windows are built on the fly by the owning series).
+    """
+
+    __slots__ = ("entries", "maxlen", "_len", "_series")
+
+    def __init__(self, series: "WindowedSeries", maxlen: int):
+        self.entries: typing.Deque[typing.Union[_Window, _Gap]] = (
+            collections.deque()
+        )
+        self.maxlen = maxlen
+        self._len = 0
+        self._series = series
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> typing.Iterator[_Window]:
+        gap_window = self._series._gap_window
+        for entry in self.entries:
+            if type(entry) is _Gap:
+                for i in range(entry.first, entry.first + entry.n):
+                    yield gap_window(entry, i)
+            else:
+                yield entry
+
+    def push(self, entry: typing.Union[_Window, _Gap], n: int) -> int:
+        """Append ``entry`` (``n`` logical windows, at most ``maxlen``);
+        trim the oldest windows over the bound and return how many."""
+        entries = self.entries
+        entries.append(entry)
+        self._len += n
+        over = self._len - self.maxlen
+        if over <= 0:
+            return 0
+        self._len = self.maxlen
+        k = over
+        while k:
+            head = entries[0]
+            if type(head) is _Gap and head.n > k:
+                head.first += k
+                head.n -= k
+                break
+            entries.popleft()
+            k -= head.n if type(head) is _Gap else 1
+        return over
+
+
 class WindowedSeries:
     """A bounded fixed-window aggregation of one signal.
 
@@ -109,9 +179,13 @@ class WindowedSeries:
       ``rate = sum / width``.
 
     Memory is bounded: at most ``max_windows`` closed windows are
-    retained (older ones are dropped and counted in :attr:`dropped`),
-    and a far time jump materializes at most ``max_windows`` empty gap
-    windows (the rest are counted dropped without being built).
+    retained (older ones are dropped and counted in :attr:`dropped`).
+    Idle time costs O(1): a run of empty windows between two folds is
+    one gap record in :attr:`closed`, not one object per window, and a
+    jump longer than ``max_windows`` counts the excess dropped without
+    visiting it.  Every query — :meth:`windows`, :meth:`window_stats`,
+    :meth:`sum_over`, :meth:`newest`, :meth:`snapshot`, ``len(closed)``
+    and :meth:`memory_bytes` — reads as if each gap window were stored.
     """
 
     __slots__ = ("name", "kind", "width", "max_windows", "bounds",
@@ -138,9 +212,7 @@ class WindowedSeries:
         self.width = float(width_ns)
         self.max_windows = max_windows
         self.bounds = tuple(bounds) if bounds is not None else None
-        self.closed: typing.Deque[_Window] = collections.deque(
-            maxlen=max_windows
-        )
+        self.closed = _History(self, max_windows)
         self.dropped = 0
         self._cur: typing.Optional[_Window] = None
         self._level = 0.0
@@ -161,18 +233,32 @@ class WindowedSeries:
     def _new_window(self, index: int) -> _Window:
         return _Window(index, len(self.bounds) + 1 if self.bounds else None)
 
+    def _gap_window(self, gap: _Gap, index: int) -> _Window:
+        """Window ``index`` of ``gap``, as an empty fold would leave it.
+
+        A level series dwells at ``gap.level`` across the whole window;
+        the integral uses :meth:`record_level`'s expression for a
+        window it crosses, so it is bit-identical to a stored one.
+        """
+        window = self._new_window(index)
+        if self.kind == "level":
+            level = gap.level
+            width = self.width
+            window.weighted += level * ((index + 1) * width - index * width)
+            window.vmin = window.vmax = level
+        return window
+
     def _close(self, window: _Window) -> None:
-        if len(self.closed) == self.closed.maxlen:
-            self.dropped += 1
-        self.closed.append(window)
+        self.dropped += self.closed.push(window, 1)
 
     def _roll_to(self, index: int) -> _Window:
-        """Make ``index`` the open window, closing/synthesizing the gap.
+        """Make ``index`` the open window, closing the current one.
 
-        Gap windows are synthesized so the retained sequence stays
-        contiguous (a per-window rate table must show the zero-traffic
-        windows); only the last ``max_windows`` of a huge jump are
-        materialized, the rest are counted dropped.
+        The windows between them are recorded as one :class:`_Gap` so
+        the retained sequence stays contiguous (a per-window rate table
+        must show the zero-traffic windows); of a jump longer than
+        ``max_windows`` only the last ``max_windows`` are kept, the rest
+        are counted dropped.
         """
         cur = self._cur
         if cur is not None and cur.index == index:
@@ -184,19 +270,13 @@ class WindowedSeries:
             )
         if cur is not None:
             self._close(cur)
-            first_gap = cur.index + 1
-        else:
-            first_gap = index
-        gap = index - first_gap
-        if gap > 0:
-            skip = max(0, gap - self.max_windows)
-            self.dropped += skip
-            for i in range(first_gap + skip, index):
-                filler = self._new_window(i)
-                if self.kind == "level":
-                    filler.weighted = self._level * self.width
-                    filler.vmin = filler.vmax = self._level
-                self._close(filler)
+            gap = index - cur.index - 1
+            if gap > 0:
+                skip = max(0, gap - self.max_windows)
+                self.dropped += skip + self.closed.push(
+                    _Gap(cur.index + 1 + skip, gap - skip, self._level),
+                    gap - skip,
+                )
         self._cur = self._new_window(index)
         if self.kind == "level":
             self._cur.vmin = self._cur.vmax = self._level
@@ -235,7 +315,7 @@ class WindowedSeries:
 
         Dwell time at the previous level is integrated into every window
         between the last change and ``t``, split exactly at window
-        boundaries.
+        boundaries; the windows it crosses whole are one gap record.
         """
         if self.kind != "level":
             raise TypeError(f"record_level() on a {self.kind!r} series")
@@ -250,11 +330,11 @@ class WindowedSeries:
         target = self.window_index(t)
         window = self._roll_to(self.window_index(self._last_time))
         cursor = self._last_time
-        while window.index < target:
+        if window.index < target:
             boundary = (window.index + 1) * self.width
             window.weighted += self._level * (boundary - cursor)
-            cursor = boundary
-            window = self._roll_to(window.index + 1)
+            window = self._roll_to(target)
+            cursor = target * self.width
         window.weighted += self._level * (t - cursor)
         self._last_time = t
         level = self._level = float(level)
@@ -349,45 +429,69 @@ class WindowedSeries:
         span intersects the interval.  For ``level`` series the total is
         the time-weighted integral instead.
         """
-        closed = self.closed
         cur = self._cur
-        n_closed = len(closed)
-        n = n_closed + (cur is not None)
-        if not n:
+        if cur is None:
             return 0.0, 0
-        # Retained windows are contiguous (``_roll_to`` synthesizes
-        # gaps), so position ``i`` holds window ``first + i``: visit only
-        # the slice around the interval.  Two windows of slack on each
-        # side absorb float rounding in the index arithmetic; the exact
-        # overlap test below decides, in the same oldest-first order, so
-        # the sums are bit-identical to scanning every window.
+        # Walk back from the open window to the first entry that ends at
+        # or before ``since`` (``start + width`` grows with the index, so
+        # every older entry does too), then sum oldest-first with the
+        # exact overlap test: the sums are bit-identical to scanning
+        # every window, and a trailing interval reads only its own span.
         width = self.width
-        first = closed[0].index if n_closed else cur.index
-        lo, hi = 0, n
-        if math.isfinite(since):
-            lo = max(0, int(since // width) - 2 - first)
-        if math.isfinite(until):
-            hi = min(n, int(until // width) + 3 - first)
+        picked = []
+        if cur.index * width + width > since:
+            picked.append(cur)
+            for entry in reversed(self.closed.entries):
+                last = (entry.first + entry.n - 1 if type(entry) is _Gap
+                        else entry.index)
+                if last * width + width <= since:
+                    break
+                picked.append(entry)
         level = self.kind == "level"
         total = 0.0
         count = 0
-        for i in range(lo, hi):
-            window = closed[i] if i < n_closed else cur
-            start = window.index * width
+        for entry in reversed(picked):
+            if type(entry) is _Gap:
+                # Empty windows add 0.0 to a sum that is never -0.0, so
+                # only a level run at a non-zero level contributes.
+                if not level or entry.level == 0.0:
+                    continue
+                # Two windows of slack absorb float rounding in the
+                # index arithmetic; the exact test below decides.
+                lo, hi = entry.first, entry.first + entry.n
+                if math.isfinite(since):
+                    lo = max(lo, int(since // width) - 2)
+                if math.isfinite(until):
+                    hi = min(hi, int(until // width) + 3)
+                for i in range(lo, hi):
+                    start = i * width
+                    if start + width <= since or start > until:
+                        continue
+                    total += self._gap_window(entry, i).weighted
+                continue
+            start = entry.index * width
             if start + width <= since or start > until:
                 continue
-            total += window.weighted if level else window.total
-            count += window.count
+            total += entry.weighted if level else entry.total
+            count += entry.count
         return total, count
 
     def newest(self) -> typing.Optional[_Window]:
-        """The most recent retained window (the open one if any)."""
-        if self._cur is not None:
-            return self._cur
-        return self.closed[-1] if self.closed else None
+        """The most recent retained window: the open one (``None``
+        before the first fold; windows close only once one is open)."""
+        return self._cur
+
+    def oldest_index(self) -> typing.Optional[int]:
+        """Index of the oldest retained window (``None`` when empty)."""
+        entries = self.closed.entries
+        if entries:
+            head = entries[0]
+            return head.first if type(head) is _Gap else head.index
+        return self._cur.index if self._cur is not None else None
 
     def memory_bytes(self) -> int:
-        """Estimated resident bytes (self-metering; nominal, not exact)."""
+        """Estimated resident bytes (self-metering; nominal, not exact):
+        every retained window counts, gap windows included."""
         n = len(self.closed) + (1 if self._cur is not None else 0)
         per = _WINDOW_NOMINAL_BYTES
         if self.bounds is not None:
@@ -447,6 +551,10 @@ class BurnRateRule:
                 f"fast window ({self.fast_ns}) must not exceed the slow "
                 f"window ({self.slow_ns})"
             )
+        if self.open_above < 0 or self.close_below < 0:
+            raise ValueError(
+                "burn thresholds must be >= 0: burn is a ratio of counts"
+            )
         if self.close_below > self.open_above:
             raise ValueError(
                 "close_below above open_above would open/close every tick"
@@ -484,14 +592,47 @@ class Alert:
         }
 
 
+class _BurnCounts:
+    """One rule's SLO windows that are still inside its slow span.
+
+    ``windows`` holds ``[index, total, missed]`` for every non-empty
+    window of the workload's ``slo.total``/``slo.missed`` series that
+    the last prune kept, oldest first; ``total``/``missed`` are their
+    running sums.  The counts are integers, so they equal the float sums
+    :meth:`WindowedSeries.sum_over` forms (exact below 2**53).
+    """
+
+    __slots__ = ("workload", "order", "totals", "windows", "total",
+                 "missed", "since")
+
+    def __init__(self, workload: str, order: int):
+        self.workload = workload
+        #: Rule-installation position (the sweep's visiting order).
+        self.order = order
+        self.totals: typing.Optional[WindowedSeries] = None
+        self.windows: typing.Deque[list] = collections.deque()
+        self.total = 0
+        self.missed = 0
+        #: The slow span's start at the last prune.
+        self.since = float("-inf")
+
+
+def _by_order(counts: _BurnCounts) -> int:
+    return counts.order
+
+
 class AlertEngine:
     """Evaluates burn-rate rules over the hub's windowed SLO series.
 
     Driven from two directions: every SLO observation re-evaluates its
     own workload's rule (detection delay is bounded by the traffic
     itself), and every hub poll sweeps the rules (so alerts close when
-    traffic stops arriving; see :meth:`sweep` for the idle skip).  Open/close transitions are recorded as
-    ``alert``-category spans plus instant events and counters.
+    traffic stops arriving; see :meth:`sweep` for what it skips).
+    Burns come from per-rule integer counts of the SLO windows inside
+    the slow span, maintained as observations arrive and windows leave
+    the span, and equal what :meth:`burn_over` sums from the series.
+    Open/close transitions are recorded as ``alert``-category spans
+    plus instant events and counters.
     """
 
     MAX_LOG = 256
@@ -503,16 +644,117 @@ class AlertEngine:
         self.log: typing.Deque[Alert] = collections.deque(maxlen=self.MAX_LOG)
         self.opened = 0
         self.closed = 0
+        self._counts: typing.Dict[str, _BurnCounts] = {}
+        #: Rules whose slow span may hold a window (the sweep's set).
+        self._live: typing.Dict[str, _BurnCounts] = {}
 
     def add_rule(self, rule: BurnRateRule) -> BurnRateRule:
         """Install (or replace) the rule for one workload."""
         self.rules[rule.workload] = rule
+        counts = self._counts.get(rule.workload)
+        if counts is None:
+            counts = self._counts[rule.workload] = _BurnCounts(
+                rule.workload, len(self._counts)
+            )
+        self._recount(counts)
         return rule
+
+    def _recount(self, counts: _BurnCounts) -> None:
+        """Rebuild ``counts`` from every retained window of its series."""
+        workload = counts.workload
+        totals = self.hub.get_series(f"slo.total/{workload}")
+        misses = self.hub.get_series(f"slo.missed/{workload}")
+        counts.totals = totals
+        counts.windows.clear()
+        counts.total = counts.missed = 0
+        counts.since = float("-inf")
+        self._live.pop(workload, None)
+        if totals is None:
+            return
+        missed_at = {
+            w.index: int(w.total) for w in misses.windows() if w.count
+        } if misses is not None else {}
+        for window in totals.windows():
+            if window.count:
+                total = int(window.total)
+                missed = missed_at.get(window.index, 0)
+                counts.windows.append([window.index, total, missed])
+                counts.total += total
+                counts.missed += missed
+        if counts.windows:
+            self._live[workload] = counts
+
+    def observed(self, workload: str, now: float, missed: bool) -> None:
+        """Count one observation the hub just folded into the
+        workload's SLO series at ``now``."""
+        counts = self._counts.get(workload)
+        if counts is None:
+            return
+        totals = counts.totals
+        if totals is None:
+            self._recount(counts)
+            return
+        index = int(now // totals.width)
+        windows = counts.windows
+        if windows and windows[-1][0] == index:
+            last = windows[-1]
+            last[1] += 1
+            last[2] += missed
+        else:
+            windows.append([index, 1, int(missed)])
+        counts.total += 1
+        counts.missed += missed
+        self._live[workload] = counts
+
+    def _window_counts(
+        self, counts: _BurnCounts, rule: BurnRateRule, now: float
+    ) -> typing.Tuple[int, int, int, int]:
+        """``(fast total, fast missed, slow total, slow missed)`` at
+        ``now``, as :meth:`burn_over` would sum them.
+
+        Drops, for good, the windows that have left the slow span
+        (``start + width <= now - slow_ns``, the test
+        :meth:`WindowedSeries.sum_over` applies) or the series'
+        retention; a span that moved backwards (an earlier ``now``) is
+        rebuilt from the series first.
+        """
+        since = now - rule.slow_ns
+        if since < counts.since:
+            self._recount(counts)
+        counts.since = since
+        totals = counts.totals
+        if totals is None:
+            return 0, 0, 0, 0
+        width = totals.width
+        first = totals.oldest_index()
+        windows = counts.windows
+        while windows:
+            index, total, missed = windows[0]
+            if index >= first and index * width + width > since:
+                break
+            windows.popleft()
+            counts.total -= total
+            counts.missed -= missed
+        slow_total, slow_missed = counts.total, counts.missed
+        fast_total = fast_missed = 0
+        fast_since = now - rule.fast_ns
+        for index, total, missed in reversed(windows):
+            start = index * width
+            if start > now:
+                slow_total -= total
+                slow_missed -= missed
+                continue
+            if start + width <= fast_since:
+                break
+            fast_total += total
+            fast_missed += missed
+        return fast_total, fast_missed, slow_total, slow_missed
 
     def burn_over(
         self, workload: str, window_ns: float, now: float
     ) -> typing.Tuple[typing.Optional[float], int]:
-        """``(burn_rate, samples)`` over the trailing window.
+        """``(burn_rate, samples)`` over the trailing window, summed
+        from the series.
 
         ``None`` burn when the workload has no policy or no samples in
         the window.
@@ -536,8 +778,17 @@ class AlertEngine:
         rule = self.rules.get(workload)
         if rule is None:
             return
-        fast, fast_n = self.burn_over(workload, rule.fast_ns, now)
-        slow, _ = self.burn_over(workload, rule.slow_ns, now)
+        fast_n, fast_missed, slow_n, slow_missed = self._window_counts(
+            self._counts[workload], rule, now
+        )
+        fast = slow = None
+        state = self.hub.slo_state(workload)
+        if state is not None and state.policy is not None:
+            budget = state.policy.budget
+            if fast_n:
+                fast = (float(fast_missed) / fast_n) / budget
+            if slow_n:
+                slow = (float(slow_missed) / slow_n) / budget
         alert = self.active.get(workload)
         if alert is None:
             if (
@@ -558,23 +809,33 @@ class AlertEngine:
     def sweep(self, now: float) -> None:
         """Re-evaluate every rule that could change state (hub poll).
 
-        A rule without an active alert is skipped when its
-        ``slo.total`` series' newest window ends at or before
-        ``now - slow_ns`` (the same ``start + width <= since`` test
-        :meth:`WindowedSeries.sum_over` applies): both burn windows are
-        then empty, so :meth:`evaluate` could neither open nor close
-        anything.  Idle rules cost one lookup; the rest one slice of
-        the burn window each, never the retained history.
+        Visits, in rule-installation order, only the rules with an
+        active alert or a window left in their slow span; a rule whose
+        slow span empties leaves that set until its next observation.
+        A visited rule without an active alert is still skipped when its
+        fast span holds fewer than ``min_samples`` observations or its
+        slow span no miss (thresholds are ``>= 0``, so the slow burn
+        cannot exceed ``open_above``): :meth:`evaluate` could not open
+        an alert.  Idle rules cost nothing; a rule with an open alert is
+        always evaluated, so alerts still close when traffic stops.
         """
-        get_series = self.hub.get_series
-        for workload, rule in self.rules.items():
+        live = self._live
+        for workload in self.active:
+            if workload not in live:
+                live[workload] = self._counts[workload]
+        if not live:
+            return
+        for counts in sorted(live.values(), key=_by_order):
+            workload = counts.workload
             if workload not in self.active:
-                totals = get_series(f"slo.total/{workload}")
-                newest = totals.newest() if totals is not None else None
-                if newest is None:
+                rule = self.rules[workload]
+                fast_n, _, _, slow_missed = self._window_counts(
+                    counts, rule, now
+                )
+                if not counts.windows:
+                    live.pop(workload, None)
                     continue
-                start = newest.index * totals.width
-                if start + totals.width <= now - rule.slow_ns:
+                if not slow_missed or fast_n < rule.min_samples:
                     continue
             self.evaluate(workload, now)
 
@@ -728,17 +989,25 @@ class SampledHotness:
             table[key] = [weight, time]
             return
         # Space-saving eviction: the newcomer inherits the coldest
-        # entry's (decayed) score — an upper bound on its true heat.
-        coldest = min(table, key=lambda k: table[k][0])
-        floor = table.pop(coldest)[0]
+        # entry's score decayed to ``time`` — an upper bound on its true
+        # heat.  Stored scores are decayed only to their last access, so
+        # they are compared at ``time`` too.
+        if self.decay:
+            def score(k):
+                entry = table[k]
+                return entry[0] * self._decay_factor(time - entry[1])
+        else:
+            def score(k):
+                return table[k][0]
+        coldest = min(table, key=score)
+        floor = score(coldest)
+        del table[coldest]
         table[key] = [floor + weight, time]
         self.evictions += 1
 
     def _decay_factor(self, elapsed: float) -> float:
         if elapsed <= 0 or not self.decay:
             return 1.0
-        import math
-
         return math.exp(-self.decay * elapsed)
 
     # -- queries ----------------------------------------------------------
@@ -846,6 +1115,8 @@ class TelemetryHub:
         self.max_windows = int(max_windows)
         self._series: typing.Dict[str, WindowedSeries] = {}
         self._watchers: typing.List[_Watcher] = []
+        #: workload -> its (slo.total, slo.missed, slo.latency) series.
+        self._slo_feeds: typing.Dict[str, tuple] = {}
         self.alerts = AlertEngine(self)
         self.hotness = SampledHotness(rate=hotness_rate, k=hotness_k)
         # -- self-metering (obs.telemetry.*) --
@@ -1019,24 +1290,34 @@ class TelemetryHub:
         Only workloads with a policy or an alert rule get windowed
         series: ad-hoc per-job workload names (every submitted job
         records one observation under its own name) would otherwise
-        each allocate three series for a single point.
+        each allocate three series for a single point.  The three
+        series are looked up once per workload and kept.
         """
-        if state.policy is None and workload not in self.alerts.rules:
+        policy = state.policy
+        if policy is None and workload not in self.alerts.rules:
             return
         t0 = _time.perf_counter()
         now = self.now()
-        self.series(f"slo.total/{workload}", "rate").add(now, 1.0)
+        feed = self._slo_feeds.get(workload)
+        if feed is None:
+            feed = self._slo_feeds[workload] = (
+                self.series(f"slo.total/{workload}", "rate"),
+                self.series(f"slo.missed/{workload}", "rate"),
+                self.series(
+                    f"slo.latency/{workload}", "sample",
+                    bounds=LATENCY_BOUNDS_NS,
+                ),
+            )
+        totals, misses, latency = feed
+        totals.add(now, 1.0)
         missed = not ok or (
-            state.policy is not None and latency_ns > state.policy.target_ns
+            policy is not None and latency_ns > policy.target_ns
         )
-        self.series(f"slo.missed/{workload}", "rate").add(
-            now, 1.0 if missed else 0.0
-        )
-        self.series(
-            f"slo.latency/{workload}", "sample", bounds=LATENCY_BOUNDS_NS
-        ).observe(now, latency_ns)
+        misses.add(now, 1.0 if missed else 0.0)
+        latency.observe(now, latency_ns)
         self.samples += 3
-        if state.policy is not None:
+        self.alerts.observed(workload, now, missed)
+        if policy is not None:
             self.alerts.evaluate(workload, now)
         self.self_wall_s += _time.perf_counter() - t0
 

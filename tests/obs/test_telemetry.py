@@ -479,6 +479,16 @@ class TestAlertEngine:
         with pytest.raises(ValueError):
             BurnRateRule("w", fast_ns=1e5, slow_ns=1e6, min_samples=0)
 
+    def test_rule_rejects_negative_thresholds(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            BurnRateRule("w", fast_ns=1e5, slow_ns=1e6,
+                         open_above=-1.0, close_below=-2.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            BurnRateRule("w", fast_ns=1e5, slow_ns=1e6,
+                         open_above=1.0, close_below=-0.5)
+        BurnRateRule("w", fast_ns=1e5, slow_ns=1e6,
+                     open_above=0.0, close_below=0.0)
+
 
 class _EveryRuleAlertEngine(AlertEngine):
     """The pre-skip sweep: evaluate every rule on every poll."""
@@ -605,6 +615,21 @@ class TestSampledHotness:
         sketch = SampledHotness(rate=1, k=4, half_life_ns=100.0)
         sketch.record_access("r", None, 1000.0, 0.0)
         assert sketch.hotness("r", 100.0) == pytest.approx(500.0)
+
+    def test_eviction_compares_scores_decayed_to_now(self):
+        sketch = SampledHotness(rate=1, k=4, half_life_ns=100.0)  # cap 8
+        sketch.record_access("A", None, 1000.0, 0.0)
+        for i in range(7):
+            sketch.record_access(f"k{i}", None, 10.0, 1000.0)
+        a_now = sketch.hotness("A", 1000.0)  # 1000 / 2**10
+        sketch.record_access("new", None, 10.0, 1000.0)
+        # A is the coldest once decayed, and the newcomer inherits that
+        # decayed floor, not A's stored score or a 10-score key's.
+        assert sketch.hotness("A", 1000.0) == 0.0
+        assert all(sketch.hotness(f"k{i}", 1000.0) == 10.0
+                   for i in range(7))
+        assert sketch.hotness("new", 1000.0) == a_now + 10.0
+        assert sketch.evictions == 1
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
