@@ -262,6 +262,52 @@ def bench_flows_shared_link(n_flows: int = 600, seed: int = 11) -> dict:
     )
 
 
+def bench_flows_small_components(
+    n_flows: int = 4200, clients: int = 7, seed: int = 19,
+) -> dict:
+    """Thousands of short transfers, one to seven live at a time.
+
+    ``clients`` processes each start transfers back to back with seeded
+    think times, over 2–5-link routes (source port, zero to three
+    switch links, destination port) through one shared switch, so
+    components stay small and merge and split as flows come and go —
+    the per-transfer regime of a fabric-bound rack workload, where
+    what one arrival and one departure cost is the unit cost.  Every
+    transfer pays link latency, so arrivals take the inline-solve path.
+    """
+    engine = Engine()
+    net = FlowNetwork(engine)
+    rng = random.Random(seed)
+    ports = [Link(f"port{i}", bandwidth=2.0, latency=40.0) for i in range(8)]
+    switch = [Link(f"sw{i}", bandwidth=bw, latency=60.0)
+              for i, bw in enumerate((4.0, 6.0, 8.0))]
+    per_client = n_flows // clients
+    done: typing.List = []
+
+    def client():
+        for _ in range(per_client):
+            yield engine.timeout(rng.uniform(0.0, 3_000.0))
+            src, dst = rng.sample(ports, 2)
+            hops = rng.sample(switch, rng.randrange(0, 4))
+            nbytes = float(rng.randrange(4 * KiB, 256 * KiB))
+            yield net.transfer([src, *hops, dst], nbytes)
+            done.append(1)
+
+    start = time.perf_counter()
+    engine.run(until=engine.all_of(
+        [engine.process(client()) for _ in range(clients)]
+    ))
+    wall = time.perf_counter() - start
+    assert len(done) == net.completed_transfers == per_client * clients
+    return _result(
+        "flows_small_components", wall, ops=len(done),
+        events=engine.events_processed,
+        peak_active_flows=net.peak_active_flows,
+        rebalances=net.rebalances,
+        resolves_skipped=net.resolves_skipped,
+    )
+
+
 def bench_flows_20k(
     n_flows: int = 20000, groups: int = 16, leaves_per_group: int = 8,
     seed: int = 17,
@@ -620,6 +666,7 @@ ALL_BENCHES: typing.Dict[str, typing.Callable[[], dict]] = {
     "flows_2k_causal": bench_flows_2k_causal,
     "flows_2k_telemetry": bench_flows_2k_telemetry,
     "flows_shared_link": bench_flows_shared_link,
+    "flows_small_components": bench_flows_small_components,
     "flows_20k": bench_flows_20k,
     "heft_500": bench_heft_500,
     "heft_small_jobs": bench_heft_small_jobs,

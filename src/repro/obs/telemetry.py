@@ -1046,7 +1046,10 @@ class SampledHotness:
         """Estimated resident bytes of both sketches (self-metering)."""
         return (len(self._regions) + len(self._devices)) * 120
 
-    def snapshot(self) -> dict:
+    def snapshot(self, time: float = 0.0) -> dict:
+        """The sketches as plain data, top-k ranked by scores decayed
+        to ``time`` (pass the current clock when ``half_life_ns`` is
+        set; without decay every time ranks alike)."""
         return {
             "rate": self.rate,
             "k": self.k,
@@ -1054,10 +1057,11 @@ class SampledHotness:
             "sampled": self.sampled,
             "evictions": self.evictions,
             "regions": [
-                [str(key), score] for key, score in self.top()
+                [str(key), score] for key, score in self.top(time=time)
             ],
             "devices": [
-                [str(key), score] for key, score in self.top(kind="device")
+                [str(key), score]
+                for key, score in self.top(time=time, kind="device")
             ],
         }
 
@@ -1365,7 +1369,7 @@ class TelemetryHub:
                 for name, series in sorted(self._series.items())
             },
             "alerts": self.alerts.data(),
-            "hotness": self.hotness.snapshot(),
+            "hotness": self.hotness.snapshot(self.now()),
             "self": {
                 "samples": self.samples,
                 "polls": self.polls,

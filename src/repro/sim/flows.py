@@ -4,7 +4,8 @@ Data movement across the disaggregated fabric is modeled at *flow* level:
 a transfer is a flow over a route (a sequence of :class:`Link` objects),
 and all concurrent flows share link bandwidth according to **max–min
 fairness** (progressive water-filling).  Whenever a flow starts or
-finishes, rates are re-solved and in-flight completion times updated.
+finishes, rates are re-solved (unless a departure provably changes
+none) and in-flight completion times updated.
 This captures the contention effects that make data placement matter,
 at a tiny fraction of the cost of packet-level simulation (a design
 choice recorded in DESIGN.md §5).
@@ -61,12 +62,18 @@ the sparse one cheap (DESIGN.md §5.2):
   few others, so the one-flow case pays no solver bookkeeping it does
   not need.  A flow whose latency phase ends solves inline when nothing
   is pending and the next queued event is later (the flush would run
-  next with nothing to merge); a finish whose links carry no other
-  live flow only re-arms the completion timer.  An isolated transfer
-  thus costs three engine events: starter, timer, done.  A one-flow
-  component is solved in closed form, and the vector core's per-link
-  slot rows exist only while it is in use (built on its first run,
-  dropped when the network drains).
+  next with nothing to merge), and in closed form, with no component
+  walk, when its links carry no other flow.  Every solve records each
+  flow's max–min bottleneck link, and a departure (finish or cancel)
+  re-solves nothing when no survivor on its links froze at one of them:
+  each survivor still saturates the link it froze at with the largest
+  rate there, so the old rates stay the unique max–min allocation, and
+  the departed links only gain share, so a fresh waterfill would pick
+  the same bottlenecks at the same shares, bit for bit
+  (:meth:`FlowNetwork._departure_certified`).  An isolated transfer
+  thus costs three engine events: starter, timer, done.  The vector
+  core's per-link slot rows exist only while it is in use (built on its
+  first run, dropped when the network drains).
 
 Units: time in nanoseconds, bandwidth in bytes/ns (1 byte/ns = 1 GB/s
 with GB = 1e9 bytes).
@@ -168,6 +175,23 @@ class Link:
 _link_id = attrgetter("id")
 
 
+def _lone_rate(links: typing.Iterable[Link]) -> typing.Tuple[float, int]:
+    """Max–min rate and bottleneck link id of a flow alone on ``links``.
+
+    The first strict minimum of the links' capacities in ascending
+    link-id order: the single freeze round :func:`waterfill` would make
+    (``cap / 1`` is exactly ``cap``).
+    """
+    best = float("inf")
+    bottleneck = -1
+    for link in sorted(links, key=_link_id):
+        cap = link.effective_bandwidth
+        if cap < best:
+            best = cap
+            bottleneck = link.id
+    return best, bottleneck
+
+
 class _Flow:
     """A live transfer.  Immutable shape lives here; mutable solver state
     (rate, remaining, settlement stamp, generation, bottleneck) lives in
@@ -241,8 +265,9 @@ class _Flow:
 
     @property
     def bottleneck(self) -> typing.Optional[int]:
-        """Link id this flow last froze at in the waterfill (its max–min
-        bottleneck); only recorded when causal tracing wants it."""
+        """Link id this flow froze at in its last waterfill (its max–min
+        bottleneck).  Every solve records it; departures read it as their
+        skip certificate, and only causal tracing exports it."""
         net = self.net
         if net is None:
             return None
@@ -418,6 +443,10 @@ class FlowNetwork:
         #: Re-solve requests absorbed by an already-pending flush (each
         #: is one full component solve the batcher saved).
         self.resolves_coalesced = 0
+        #: Departures that left live flows on their links but re-solved
+        #: nothing, because no survivor there was bottlenecked on one of
+        #: them (see :meth:`_departure_certified`).
+        self.resolves_skipped = 0
         #: Flows skipped by :meth:`settle_all` because their settlement
         #: stamp already equalled ``now`` (metrics-collector saving).
         self.settle_skipped = 0
@@ -471,32 +500,47 @@ class FlowNetwork:
                     return
             flow = _Flow(route, nbytes, done)
             flow.started_at = start_time
-            self._register_flow(flow, self.engine.now)
-            self._flows[flow.id] = flow
+            engine = self.engine
+            now = engine.now
+            self._register_flow(flow, now)
+            fid = flow.id
+            flows = self._flows
+            flows[fid] = flow
             links = flow.links
             if len(flow.route) != len(links):
                 self._degenerate += 1
+            by_link = self._by_link
             adj = self._link_adj
             use_rows = self._link_rows is not None
+            alone = True  # no other live flow on any of its links
             for i, link in enumerate(links):
-                self._by_link.setdefault(link.id, {})[flow.id] = flow
-                self._link_objs[link.id] = link
+                lid = link.id
+                here = by_link.get(lid)
+                if here is None:
+                    by_link[lid] = {fid: flow}
+                    self._link_objs[lid] = link
+                else:
+                    here[fid] = flow
+                    alone = False
                 if use_rows:
-                    self._rows_append(link.id, flow.slot)
-                row = adj.setdefault(link.id, {})
+                    self._rows_append(lid, flow.slot)
+                row = adj.setdefault(lid, {})
                 for other in links[i + 1:]:
                     row[other.id] = row.get(other.id, 0) + 1
                     back = adj.setdefault(other.id, {})
-                    back[link.id] = back.get(link.id, 0) + 1
+                    back[lid] = back.get(lid, 0) + 1
             self._by_event[done] = flow
-            if len(self._flows) > self.peak_active_flows:
-                self.peak_active_flows = len(self._flows)
+            if len(flows) > self.peak_active_flows:
+                self.peak_active_flows = len(flows)
             if (starter is not None and not self._pending_seeds
-                    and self.engine.peek() > self.engine.now):
+                    and engine.peek() > now):
                 # Nothing else runs at this instant, so a deferred flush
                 # would be the very next event with nothing to merge:
                 # solve now and save the event.
-                self._resolve_now(links)
+                if alone:
+                    self._solve_lone(flow)
+                else:
+                    self._resolve_now(links)
             else:
                 self._resolve(links)
 
@@ -591,9 +635,15 @@ class FlowNetwork:
             self._settle(flow, self.engine.now)
             # Exact accounting for the abandoned attempt: bytes that made
             # it across before the cancel (hedging charges these as waste).
-            event._progress = flow.total_bytes - flow.remaining
+            event._progress = flow.total_bytes - self._st_rem[flow.slot]
             self._remove(flow)
-            self._resolve_now(self._merged_seeds(flow.links))
+            # Deferred seeds mean the live rates are not yet max–min fair,
+            # so no certificate holds: solve them with the departure.
+            if (self._pending_seeds or not self._departure_certified(
+                    {link.id for link in flow.links})):
+                self._resolve_now(self._merged_seeds(flow.links))
+            else:
+                self._arm_timer()
         else:
             event._progress = 0.0  # still in the latency phase: no bytes moved
         event.fail(cause or TransferTimeout(float("nan"), float("nan")))
@@ -898,9 +948,6 @@ class FlowNetwork:
         self.rebalances += 1
         if lids:
             now = self.engine.now
-            want_bottlenecks = (
-                self.trace is not None and self.trace.wants("causal")
-            )
             # Density cutover: the vector core amortizes per-freeze-round
             # numpy overhead only when many flows share a link (each
             # round then freezes many rows at once).  The max per-link
@@ -919,15 +966,12 @@ class FlowNetwork:
                 and not self._degenerate
             )
             if use_vector:
-                self.flows_resolved += self._solve_vector(
-                    lids, now, want_bottlenecks
-                )
+                self.flows_resolved += self._solve_vector(lids, now)
             else:
                 component = self._component_flows(lids)
                 self.flows_resolved += len(component)
                 self._solve_scalar(
-                    component, now, want_bottlenecks,
-                    len(component) == len(self._flows),
+                    component, now, len(component) == len(self._flows),
                 )
             if self.on_rebalance:
                 if use_vector:
@@ -936,11 +980,64 @@ class FlowNetwork:
                     hook(list(component.values()))
         self._arm_timer()
 
+    def _solve_lone(self, flow: _Flow) -> None:
+        """:meth:`_resolve_now` for a just-registered flow alone on every
+        one of its links: a one-flow component, so no component walk.
+
+        Same state, counters, hooks and timer as the general path — the
+        flow is settled at ``now`` and its rate is the closed form
+        :meth:`_solve_scalar` uses for a one-flow component.
+        """
+        rate, bottleneck = _lone_rate(flow.links)
+        slot = flow.slot
+        self._st_rate[slot] = rate
+        self._st_bn[slot] = bottleneck
+        gen = self._st_gen[slot] + 1
+        self._st_gen[slot] = gen
+        self.rebalances += 1
+        self.flows_resolved += 1
+        self._heap_insert(
+            [(self.engine.now + self._st_rem[slot] / rate, flow.id, gen)],
+            len(self._flows) == 1,
+        )
+        for hook in self.on_rebalance:
+            hook([flow])
+        self._arm_timer()
+
+    def _departure_certified(self, lids: typing.Collection[int]) -> bool:
+        """Whether flows leaving links ``lids`` leave every survivor's rate
+        max–min fair, so the departure needs no re-solve.
+
+        The certificate: no live flow on those links froze at one of
+        them (:attr:`_Flow.bottleneck`).  Then each survivor still froze
+        at a link it saturates with the largest rate there, so the old
+        allocation stays the unique max–min one, and :func:`waterfill`
+        would replay the old freeze rounds minus the departed flows'
+        own: the departed links only gain share (IEEE division and
+        subtraction are monotone), so they are never picked.  Unchanged
+        flows are neither settled nor re-timed by a solve, so skipping
+        it is bit-identical.  Only valid while no re-solve is pending.
+        Counts :attr:`resolves_skipped` when a survivor was vouched for.
+        """
+        by_link = self._by_link
+        st_bn = self._st_bn
+        shared = False
+        for lid in lids:
+            here = by_link.get(lid)
+            if here is None:
+                continue
+            shared = True
+            for flow in here.values():
+                if st_bn[flow.slot] in lids:
+                    return False
+        if shared:
+            self.resolves_skipped += 1
+        return True
+
     def _solve_scalar(
         self,
         component: typing.Dict[int, _Flow],
         now: float,
-        want_bottlenecks: bool,
         full: bool,
     ) -> None:
         """Reference solver core: per-flow Python loops over the component.
@@ -951,28 +1048,19 @@ class FlowNetwork:
         produce bit-identical link counters.
 
         A one-flow component (the common case at low contention) is
-        solved in closed form: its rate is the first strict minimum of
-        its links' capacities in ascending link-id order, which is the
-        single freeze round :func:`waterfill` would make (``cap / 1`` is
-        exactly ``cap``).
+        solved in closed form by :func:`_lone_rate`.  Every flow's
+        bottleneck column is rewritten, changed rate or not: departures
+        read it as their skip certificate.
         """
-        bottlenecks: typing.Optional[typing.Dict[int, int]] = (
-            {} if want_bottlenecks else None
-        )
         if len(component) == 1:
             ordered = list(component)
             fid = ordered[0]
-            rates: typing.Dict[int, float] = {}
-            best = float("inf")
-            for link in sorted(component[fid].links, key=_link_id):
-                cap = link.effective_bandwidth
-                if cap < best:
-                    best = cap
-                    rates[fid] = cap
-                    if bottlenecks is not None:
-                        bottlenecks[fid] = link.id
+            rate, bottleneck = _lone_rate(component[fid].links)
+            rates = {fid: rate}
+            bottlenecks = {fid: bottleneck}
         else:
             ordered = sorted(component)
+            bottlenecks = {}
             rates = waterfill(component, ordered, bottlenecks)
         st_rate = self._st_rate
         st_rem = self._st_rem
@@ -983,9 +1071,7 @@ class FlowNetwork:
         for fid in ordered:
             flow = component[fid]
             slot = flow.slot
-            if want_bottlenecks:
-                b = bottlenecks.get(fid)
-                st_bn[slot] = -1 if b is None else b
+            st_bn[slot] = bottlenecks.get(fid, -1)
             new_rate = rates.get(fid, 0.0)
             if new_rate == st_rate[slot]:
                 continue  # untouched: its completion entry stays valid
@@ -1041,7 +1127,6 @@ class FlowNetwork:
         self,
         lids: typing.List[int],
         now: float,
-        want_bottlenecks: bool,
     ) -> int:
         """Vectorized solver core: numpy over the state columns, same IEEE
         operations as the scalar core.  Returns the component's flow count.
@@ -1099,7 +1184,7 @@ class FlowNetwork:
         nf = int(np.count_nonzero(member))
         frozen = np.zeros(nslots, np.bool_)
         new = np.zeros(nslots, np.float64)
-        bn = np.full(nslots, -1, np.int64) if want_bottlenecks else None
+        bn = np.full(nslots, -1, np.int64)
         shares = np.empty(nl, np.float64)
         tot_prev = np.zeros(nl, np.int64)
         seg = l_ptr[:-1]
@@ -1116,8 +1201,7 @@ class FlowNetwork:
             rows = rows[~frozen[rows]]  # ascending flow order preserved
             new[rows] = share
             frozen[rows] = True
-            if bn is not None:
-                bn[rows] = lids[b]
+            bn[rows] = lids[b]
             left -= int(rows.shape[0])
             if not left:
                 break  # final round: the cap/cnt update below is unread
@@ -1223,8 +1307,7 @@ class FlowNetwork:
         np.copyto(last_v, now, where=changed)
         np.copyto(rem_v, rem_new, where=changed)
         gen_v += changed
-        if bn is not None:
-            np.copyto(bn_v, bn, where=frozen)
+        np.copyto(bn_v, bn, where=frozen)
         return nf
 
     def _arm_timer(self) -> None:
@@ -1261,7 +1344,6 @@ class FlowNetwork:
             return  # an armed timer already covers this instant
         self._timer_gen += 1
         self._timer_deadline = deadline
-        generation = self._timer_gen
         # A delay below one ULP of the current clock would re-fire at the
         # *same* float timestamp forever (zero elapsed time -> zero
         # progress).  Clamp up so the clock always advances; the extra
@@ -1270,18 +1352,19 @@ class FlowNetwork:
         ulp = math.ulp(now) if now > 0 else 0.0
         timer = Event(self.engine)
         timer._ok = True
-        timer._value = None
-        timer.add_callback(lambda _e: self._on_timer(generation))
+        timer._value = self._timer_gen  # read back by _on_timer
+        timer.add_callback(self._on_timer)
         self.engine.schedule(timer, delay=max(deadline - now, ulp, 0.0))
 
-    def _on_timer(self, generation: int) -> None:
+    def _on_timer(self, timer: Event) -> None:
         # Deferred re-solves from earlier same-timestamp events (their
         # flush event is queued *behind* this timer) must land before the
         # completion sweep reads rates/deadlines.  Flushing may re-arm
         # the timer; the generation check below then defers the sweep to
         # the superseding timer exactly as an eager re-solve would have.
-        self._flush_pending()
-        if generation != self._timer_gen or self._timer_deadline is None:
+        if self._pending_seeds:
+            self._flush_pending()
+        if timer._value != self._timer_gen or self._timer_deadline is None:
             return  # superseded by a later rebalance
         self._timer_deadline = None
         now = self.engine.now
@@ -1289,10 +1372,11 @@ class FlowNetwork:
         st_rate = self._st_rate
         st_rem = self._st_rem
         st_gen = self._st_gen
+        flows = self._flows
         finished: typing.List[_Flow] = []
         while heap and heap[0][0] <= now:
             _, fid, gen = heapq.heappop(heap)
-            flow = self._flows.get(fid)
+            flow = flows.get(fid)
             if flow is None or st_gen[flow.slot] != gen:
                 continue  # stale entry
             self._settle(flow, now)
@@ -1314,42 +1398,49 @@ class FlowNetwork:
             self._finish(flow, now)
             for link in flow.links:
                 seeds[link.id] = link
-        by_link = self._by_link
-        if any(lid in by_link for lid in seeds):
-            self._resolve(seeds.values())
-        else:
-            # No live flow shares a link with the finished ones: their
-            # component is gone and nothing is left to re-solve.
+        if self._departure_certified(seeds):
+            # Every survivor keeps its rate (or none is left on the
+            # finished flows' links): only the timer moves.
             self._arm_timer()
+        else:
+            self._resolve(seeds.values())
 
     def _finish(self, flow: _Flow, now: float) -> None:
         """Complete a flow: credit the residual, deliver its event."""
-        if flow.remaining > 0.0:
+        slot = flow.slot
+        st_rem = self._st_rem
+        residual = st_rem[slot]
+        if residual > 0.0:
             # Exactness: the sub-epsilon residual still counts as carried,
             # so per-link totals equal the payloads routed over them.
             for link in flow.route:
-                link.bytes_carried += flow.remaining
-            flow.remaining = 0.0
+                link.bytes_carried += residual
+            st_rem[slot] = 0.0
+        # Slots are reassigned only when a flow registers, so the row
+        # stays readable after the flow leaves the indexes.
         self._remove(flow)
         self.completed_transfers += 1
         self.bytes_completed += flow.total_bytes
-        bottleneck_name = None
-        if flow.bottleneck is not None:
-            for link in flow.links:
-                if link.id == flow.bottleneck:
-                    bottleneck_name = link.name
-                    break
-        if self.trace is not None and self.trace.wants("flow"):
-            self.trace.emit(
-                now, "flow", "done",
-                nbytes=flow.total_bytes, duration=now - flow.started_at,
-                links=len(flow.route), rate=flow.rate,
-                bottleneck=bottleneck_name,
-            )
-        if bottleneck_name is not None:
-            # Completion events have no __slots__; riding the bottleneck
-            # along lets reliable_transfer report it without new plumbing
-            # through every yield layer.
-            flow.event._bottleneck = bottleneck_name
+        trace = self.trace
+        if trace is not None:
+            bottleneck_name = None
+            if trace.wants("causal"):
+                bottleneck = self._st_bn[slot]
+                for link in flow.links:
+                    if link.id == bottleneck:
+                        bottleneck_name = link.name
+                        break
+            if trace.wants("flow"):
+                trace.emit(
+                    now, "flow", "done",
+                    nbytes=flow.total_bytes, duration=now - flow.started_at,
+                    links=len(flow.route), rate=self._st_rate[slot],
+                    bottleneck=bottleneck_name,
+                )
+            if bottleneck_name is not None:
+                # Completion events have no __slots__; riding the
+                # bottleneck along lets reliable_transfer report it
+                # without new plumbing through every yield layer.
+                flow.event._bottleneck = bottleneck_name
         if not flow.event.triggered:
             flow.event.succeed(now - flow.started_at)

@@ -631,6 +631,20 @@ class TestSampledHotness:
         assert sketch.hotness("new", 1000.0) == a_now + 10.0
         assert sketch.evictions == 1
 
+    def test_snapshot_ranks_scores_decayed_to_the_hub_clock(self):
+        engine = Engine()
+        obs = Observability(engine=engine)
+        hub = obs.telemetry
+        hub.hotness = SampledHotness(rate=1, half_life_ns=100.0)
+        hub.hotness.record_access("A", None, 1000.0, 0.0)
+        engine.timeout(1000.0)
+        engine.run()
+        hub.hotness.record_access("B", None, 10.0, 1000.0)
+        # A has decayed to 1000 / 2**10 by t=1000, so B ranks first.
+        want = [["B", 10.0], ["A", 1000.0 / 1024]]
+        assert hub.hotness.snapshot(1000.0)["regions"] == want
+        assert hub.data()["hotness"]["regions"] == want
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             SampledHotness(rate=0)

@@ -291,6 +291,40 @@ def test_isolated_transfer_with_latency_costs_three_events():
     assert engine.events_processed == 3
 
 
+def _sharer_bottlenecked_elsewhere(net):
+    """`short` (300 B) rides only `fat`; `long` (1000 B) crosses `thin`
+    too and freezes there at 1 B/ns, so `short` gets the 3 B/ns left on
+    `fat` and finishes at t=100 while `long` keeps its rate."""
+    thin = Link("thin", bandwidth=1.0, latency=0.0)
+    fat = Link("fat", bandwidth=4.0, latency=0.0)
+    short = net.transfer([fat], nbytes=300.0)
+    long = net.transfer([thin, fat], nbytes=1000.0)
+    return short, long
+
+
+def test_finish_whose_sharers_are_bottlenecked_elsewhere_skips_the_resolve():
+    """No re-solve and no flush event: `long` froze at `thin`, which
+    `short` never crossed, so its rate is still max–min fair."""
+    engine, net = make_net()
+    short, long = _sharer_bottlenecked_elsewhere(net)
+    engine.run()
+    assert short.value == 100.0 and long.value == 1000.0
+    # The t=0 flush, two timers and two done events: no flush at t=100.
+    assert engine.events_processed == 5
+    assert (net.rebalances, net.resolves_skipped) == (1, 1)
+
+
+def test_resolves_skipped_reaches_the_metrics_collector():
+    from repro.hardware import Cluster
+
+    cluster = Cluster.preset("pooled-rack")
+    _sharer_bottlenecked_elsewhere(cluster.flownet)
+    cluster.engine.run()
+    snap = cluster.obs.registry.snapshot()
+    assert snap["flow.resolves_skipped"]["value"] == 1.0
+    assert snap["flow.rebalances"]["value"] == 1.0
+
+
 def test_finish_leaving_no_live_flow_does_not_rebalance():
     """Only a finish whose links still carry a live flow re-solves."""
     engine, net = make_net()
