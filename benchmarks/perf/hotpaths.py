@@ -308,6 +308,56 @@ def bench_flows_small_components(
     )
 
 
+def bench_accessor_stream(
+    n_accesses: int = 4000, workers: int = 8, seed: int = 31,
+) -> dict:
+    """Thousands of region accesses through ``Accessor`` on the pooled rack.
+
+    ``workers`` processes on the two CPUs each touch their own region on
+    a pool device (DRAM pool, CXL expander, far memory) back to back
+    with seeded think times: half RANDOM 256 B reads and writes
+    (latency-dominant: the access's latency floor outlasts its bytes),
+    half SEQUENTIAL 64 KiB ones (stream-dominant).  Every access is one
+    fabric transfer joined with its latency floor, so this is the unit
+    cost of a memory access in a fully disaggregated rack.
+    """
+    from repro.memory.interfaces import Accessor
+
+    cluster = Cluster.preset("pooled-rack", seed=seed)
+    cluster.obs.disable()
+    engine = cluster.engine
+    mm = MemoryManager(cluster)
+    rng = random.Random(seed)
+    devices = ["dram-pool0", "dram-pool1", "cxl-exp0", "far0"]
+    per_worker = n_accesses // workers
+    done: typing.List = []
+
+    def worker(w: int):
+        region = mm.allocate_on(devices[w % len(devices)], 256 * KiB,
+                                MemoryProperties(), owner=f"w{w}")
+        acc = Accessor(cluster, region.handle(f"w{w}"), f"cpu{1 + w % 2}")
+        for _ in range(per_worker):
+            op = acc.write if rng.random() < 0.3 else acc.read
+            if rng.random() < 0.5:
+                yield from op(256, pattern=AccessPattern.RANDOM)
+            else:
+                yield from op(64 * KiB, pattern=AccessPattern.SEQUENTIAL)
+            done.append(1)
+            yield engine.timeout(rng.uniform(0.0, 2_000.0))
+
+    start = time.perf_counter()
+    engine.run(until=engine.all_of(
+        [engine.process(worker(w)) for w in range(workers)]
+    ))
+    wall = time.perf_counter() - start
+    assert len(done) == cluster.flownet.completed_transfers == per_worker * workers
+    return _result(
+        "accessor_stream", wall, ops=len(done),
+        events=engine.events_processed,
+        peak_active_flows=cluster.flownet.peak_active_flows,
+    )
+
+
 def bench_flows_20k(
     n_flows: int = 20000, groups: int = 16, leaves_per_group: int = 8,
     seed: int = 17,
@@ -667,6 +717,7 @@ ALL_BENCHES: typing.Dict[str, typing.Callable[[], dict]] = {
     "flows_2k_telemetry": bench_flows_2k_telemetry,
     "flows_shared_link": bench_flows_shared_link,
     "flows_small_components": bench_flows_small_components,
+    "accessor_stream": bench_accessor_stream,
     "flows_20k": bench_flows_20k,
     "heft_500": bench_heft_500,
     "heft_small_jobs": bench_heft_small_jobs,

@@ -591,6 +591,7 @@ class Cluster:
         yield "flow.flows_resolved", self.flownet.flows_resolved
         yield "flow.resolves_coalesced", self.flownet.resolves_coalesced
         yield "flow.resolves_skipped", self.flownet.resolves_skipped
+        yield "flow.timers_superseded", self.flownet.timers_superseded
         yield "flow.settle_skipped", self.flownet.settle_skipped
         # Flow progress is settled lazily (only when a flow's rate
         # changes); bring every in-flight flow current so the per-link

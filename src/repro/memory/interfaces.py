@@ -12,10 +12,11 @@ core:
   so the optimizer's estimates and the simulator's behaviour agree by
   construction.
 * :class:`Accessor` — executes plans on the simulation engine: the
-  latency term is a timeout, the wire bytes go through the flow network
-  (contending with all other traffic), and validation enforces the
-  interface rules (sync requires an addressable path and a sync-capable
-  device; coherent regions require a coherent path).
+  wire bytes go through the flow network (contending with all other
+  traffic) with the latency term as the transfer's latency floor, and
+  validation enforces the interface rules (sync requires an
+  addressable path and a sync-capable device; coherent regions require
+  a coherent path).
 
 The asynchronous interface models ``queue_depth`` outstanding requests,
 which is how far-memory latency gets hidden (and why Table 1's far tiers
@@ -382,12 +383,14 @@ class Accessor:
                 self.cluster, self.observer, plan.wire_bytes
             )
         # Latency term and wire-byte streaming overlap; both must finish.
-        pending = [self.cluster.flownet.transfer(route, plan.wire_bytes)]
+        # The term is the transfer's latency floor, so its done event is
+        # the join, processed where all_of([transfer, timeout(term)])
+        # would be, without the timeout and join events.
         total_latency = plan.latency_ns + coherence_penalty + crypto_penalty
-        if total_latency > 0:
-            pending.append(engine.timeout(total_latency))
         started = engine.now
-        yield engine.all_of(pending)
+        yield self.cluster.flownet.transfer(
+            route, plan.wire_bytes, latency_floor=total_latency
+        )
         self.handle.validate()  # ownership may have changed while blocked
         observed = engine.now - started
         self._feed_evidence(route, plan.wire_bytes, total_latency, observed)

@@ -81,6 +81,9 @@ class SharedRegionCache:
         #: Entries evicted while pinned, keyed by region id: invisible
         #: to lookups but still holding memory until readers drain.
         self._dying: typing.Dict[int, CacheEntry] = {}
+        #: Bytes of every entry in either dict, kept as entries come and
+        #: go so the telemetry poll reads it in O(1).
+        self._pinned_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -104,8 +107,7 @@ class SharedRegionCache:
 
     def pinned_bytes(self) -> int:
         """Bytes held by all entries, including dying ones."""
-        live = sum(e.region.size for e in self._entries.values())
-        return live + sum(e.region.size for e in self._dying.values())
+        return self._pinned_bytes
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -125,6 +127,7 @@ class SharedRegionCache:
             )
         entry = CacheEntry(key, region)
         self._entries[key] = entry
+        self._pinned_bytes += region.size
         return entry
 
     def acquire(self, key: typing.Hashable, reader: typing.Hashable,
@@ -216,7 +219,10 @@ class SharedRegionCache:
         return freed
 
     def _drop_own_ref(self, entry: CacheEntry) -> bool:
+        # The one way out of both dicts: forget() has already popped
+        # the index entry and a dying entry leaves here.
         self._dying.pop(entry.region.id, None)
+        self._pinned_bytes -= entry.region.size
         if not entry.region.alive:
             return False  # lost to a fault; nothing left to free
         try:

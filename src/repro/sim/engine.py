@@ -68,6 +68,24 @@ class Engine:
             self._queue, (self._now + delay, priority, next(self._seq), event)
         )
 
+    def reserve(self, delay: float) -> tuple:
+        """Take the queue slot ``schedule(event, delay)`` would give an
+        event now, ``(time, NORMAL, sequence)``, without queueing one.
+
+        :meth:`schedule_at` fills the slot later (or nobody does), and
+        its event is then processed exactly where an event scheduled
+        at reservation time would have been.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot reserve in the past (delay={delay})")
+        return (self._now + delay, NORMAL, next(self._seq))
+
+    def schedule_at(self, event: Event, slot: tuple) -> None:
+        """Queue ``event`` in a slot taken earlier with :meth:`reserve`."""
+        if slot[0] < self._now:
+            raise ValueError(f"slot {slot[:2]} lies in the past (now={self._now})")
+        heapq.heappush(self._queue, (*slot, event))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         queue = self._queue

@@ -71,7 +71,13 @@ the sparse one cheap (DESIGN.md §5.2):
   the departed links only gain share, so a fresh waterfill would pick
   the same bottlenecks at the same shares, bit for bit
   (:meth:`FlowNetwork._departure_certified`).  An isolated transfer
-  thus costs three engine events: starter, timer, done.  The vector
+  thus costs three engine events: starter, timer, done.  So does an
+  isolated region access: its latency term races the byte stream, and
+  instead of a timeout and an ``all_of`` join it passes the term as
+  ``transfer(latency_floor=...)``, whose done event is the join
+  (:class:`_FloorJoin`).  It takes the queue slot the timeout would
+  have held, and it resumes its waiter at once when the join would be
+  the very next event, so the fold is exact.  The vector
   core's per-link slot rows exist only while it is in use (built on its
   first run, dropped when the network drains).
 
@@ -89,7 +95,7 @@ from itertools import count
 from operator import attrgetter
 
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 try:  # numpy is an optional accelerator, not a hard dependency
     import numpy as _np
@@ -190,6 +196,57 @@ def _lone_rate(links: typing.Iterable[Link]) -> typing.Tuple[float, int]:
             best = cap
             bottleneck = link.id
     return best, bottleneck
+
+
+class _FloorJoin(Event):
+    """Done event of a transfer with a latency floor: one event standing
+    in for ``all_of([transfer, timeout(floor)])`` and processed exactly
+    where that join would be.
+
+    The floor's timeout is never queued.  :meth:`FlowNetwork.transfer`
+    takes its queue slot (:meth:`Engine.reserve`) at the point the
+    timeout would have been created, and the join triggers when its
+    later child is processed:
+
+    * a last byte landing before the floor succeeds into the reserved
+      slot, where the timeout, the later child, would be processed;
+    * a last byte at or after the floor, and any failure (the join fails
+      on its first failure), is queued at ``(now, next sequence)`` like
+      a plain done event.
+
+    The join itself would then be queued at ``(now, next sequence)``.
+    When nothing else is queued at ``now`` it would be the very next
+    event, so processing this one resumes the waiters at once;
+    otherwise the event re-queues itself there, the join's hop exactly,
+    and stays unprocessed until then, so an interrupted waiter still
+    detaches from it.  A failure raises only when no waiter takes it,
+    as the join's would (the join defuses its child).
+    """
+
+    #: The floor timeout's queue slot (None: no floor to wait for).
+    _slot: typing.Optional[tuple] = None
+    #: Whether the event already took the join's hop.
+    _hopped = False
+
+    def succeed(self, value: object = None, delay: float = 0.0) -> Event:
+        slot = self._slot
+        if (slot is None or self._value is not PENDING
+                or self.engine.now + delay >= slot[0]):
+            return super().succeed(value, delay)
+        self._ok = True
+        self._value = value
+        self.engine.schedule_at(self, slot)
+        return self
+
+    def _process(self) -> None:
+        engine = self.engine
+        if not self._hopped and engine.peek() <= engine.now:
+            self._hopped = True
+            engine.schedule(self)
+            return
+        if not self._ok:
+            self._defused = False  # the join's failure, not yet handled
+        super()._process()
 
 
 class _Flow:
@@ -447,6 +504,10 @@ class FlowNetwork:
         #: nothing, because no survivor there was bottlenecked on one of
         #: them (see :meth:`_departure_certified`).
         self.resolves_skipped = 0
+        #: Completion-timer events that fired with a stale generation:
+        #: a re-arm leaves the superseded timer queued, and it only
+        #: flushes pending seeds before finding nothing to do.
+        self.timers_superseded = 0
         #: Flows skipped by :meth:`settle_all` because their settlement
         #: stamp already equalled ``now`` (metrics-collector saving).
         self.settle_skipped = 0
@@ -466,6 +527,7 @@ class FlowNetwork:
         route: typing.Sequence[Link],
         nbytes: float,
         extra_latency: float = 0.0,
+        latency_floor: typing.Optional[float] = None,
     ) -> Event:
         """Start a transfer of ``nbytes`` over ``route``.
 
@@ -473,10 +535,16 @@ class FlowNetwork:
         the last byte arrives, or fails with :class:`LinkDown` if a link
         on the route fails mid-flight.  Propagation latency (sum of link
         latencies plus ``extra_latency``) is paid before streaming starts.
+
+        With ``latency_floor`` (ns) the event is instead the join of the
+        transfer with a ``latency_floor`` timeout created right after
+        it — a region access, whose latency term races its byte stream
+        (both must finish) — as one engine event (:class:`_FloorJoin`).
         """
         if nbytes < 0:
             raise ValueError(f"cannot transfer negative bytes: {nbytes}")
-        done = Event(self.engine)
+        done = Event(self.engine) if latency_floor is None else _FloorJoin(
+            self.engine)
         for link in route:
             if not link.up:
                 done.fail(LinkDown(link))
@@ -484,7 +552,12 @@ class FlowNetwork:
                 return done
         latency = sum(link.latency for link in route) + extra_latency
         if nbytes == 0 or not route:
-            done.succeed(latency, delay=latency)
+            delay = latency
+            if latency_floor is not None and latency_floor > latency:
+                # The floor's timeout is the later child, and it would
+                # take the very next sequence number: this one.
+                delay = latency_floor
+            done.succeed(latency, delay=delay)
             return done
 
         start_time = self.engine.now
@@ -554,6 +627,8 @@ class FlowNetwork:
             # Inline start: the caller may start more transfers at this
             # instant, so the re-solve stays deferred.
             _start(None)
+        if latency_floor:
+            done._slot = self.engine.reserve(latency_floor)
         return done
 
     def fail_link(self, link: Link) -> list:
@@ -1365,6 +1440,7 @@ class FlowNetwork:
         if self._pending_seeds:
             self._flush_pending()
         if timer._value != self._timer_gen or self._timer_deadline is None:
+            self.timers_superseded += 1
             return  # superseded by a later rebalance
         self._timer_deadline = None
         now = self.engine.now

@@ -13,6 +13,7 @@ from repro.memory.interfaces import (
 from repro.memory.manager import MemoryManager
 from repro.memory.ownership import UseAfterTransferError
 from repro.memory.properties import MemoryProperties
+from repro.sim.flows import LinkDown
 
 
 @pytest.fixture
@@ -192,3 +193,76 @@ class TestAccessor:
         region = mm.allocate_on("dram0", 64, MemoryProperties(), owner="t1")
         with pytest.raises(InterfaceError):
             Accessor(cluster, region.handle("t1"), "ghost")
+
+
+class TestAccessEventBudget:
+    """An access waits on its transfer's done event, joined with the
+    latency floor (``FlowNetwork.transfer(latency_floor=...)``), not on
+    ``all_of([transfer, timeout])``."""
+
+    @staticmethod
+    def far_reader(env):
+        """A latency-dominant access: a 16,808 ns floor over a stream
+        whose last byte lands at about 4,065 ns."""
+        cluster, mm = env
+        region = mm.allocate_on("far0", 4096, MemoryProperties(), owner="t1")
+        acc = Accessor(cluster, region.handle("t1"), "cpu0")
+        return acc.read(pattern=AccessPattern.RANDOM, mode=AccessMode.ASYNC)
+
+    @pytest.mark.parametrize("device, pattern", [
+        ("far0", AccessPattern.RANDOM),  # latency-dominant
+        ("dram0", AccessPattern.SEQUENTIAL),  # stream-dominant
+    ])
+    def test_isolated_access_costs_three_engine_events(self, env, device,
+                                                        pattern):
+        """Starter, completion timer, done: no floor timeout and no
+        join event (five events before the fold)."""
+        cluster, mm = env
+        region = mm.allocate_on(device, 64 * 1024, MemoryProperties(),
+                                owner="t1")
+        acc = Accessor(cluster, region.handle("t1"), "cpu0")
+        run_access(cluster, acc.read(pattern=pattern, mode=AccessMode.ASYNC))
+        # The wrapping process's start and finish are the other two.
+        assert cluster.engine.events_processed == 2 + 3
+
+    def test_latency_dominant_access_resumes_after_a_later_same_instant_timeout(
+            self, env):
+        """The floor's slot was reserved before the timeout was created,
+        so the join's hop runs behind it, as ``all_of`` would."""
+        cluster, _ = env
+        engine = cluster.engine
+        order = []
+
+        def access():
+            yield from self.far_reader(env)
+            order.append(("access", engine.now))
+
+        def other():
+            yield engine.timeout(16808.0)
+            order.append(("timeout", engine.now))
+
+        engine.process(access())
+        engine.process(other())
+        engine.run()
+        assert order == [("timeout", 16808.0), ("access", 16808.0)]
+
+    def test_mid_stream_link_down_reaches_the_waiter_at_once(self, env):
+        cluster, _ = env
+        engine = cluster.engine
+        caught = []
+
+        def access():
+            try:
+                yield from self.far_reader(env)
+            except LinkDown as exc:
+                caught.append((exc.link.name, engine.now))
+
+        def cut():
+            yield engine.timeout(3000.0)  # streaming since 2,700 ns
+            cluster.flownet.fail_link(
+                cluster.topology.route("cpu0", "far0")[0])
+
+        engine.process(access())
+        engine.process(cut())
+        engine.run()
+        assert caught == [("cpu0--far0", 3000.0)]

@@ -208,3 +208,58 @@ class TestCrashes:
         assert cache.release(("k",), "job1") is False
         assert cache.forget(("k",)) is False
         assert cache.outstanding() == {}
+
+
+class TestPinnedBytes:
+    """``pinned_bytes`` is a running total; it must equal the sum over
+    every live and dying entry after each lifecycle step."""
+
+    @staticmethod
+    def brute(cache):
+        return (sum(e.region.size for e in cache._entries.values())
+                + sum(e.region.size for e in cache._dying.values()))
+
+    def test_running_total_equals_brute_force_sum(self, env):
+        _, mm, cache = env
+        seen = []
+
+        def check():
+            seen.append(cache.pinned_bytes())
+            assert cache.pinned_bytes() == self.brute(cache)
+
+        a = put(mm, cache, ("a",), size=4096)
+        put(mm, cache, ("b",), size=8192)
+        put(mm, cache, ("c",), size=1000)
+        check()
+        cache.acquire(("a",), "r1")
+        cache.acquire(("b",), "r1")
+        cache.acquire(("b",), "r2")
+        check()
+        cache.forget(("b",))  # readers live: dying, still counted
+        check()
+        cache.release(("b",), "r1")
+        check()
+        cache.release(("b",), "r2")  # last reader: the entry leaves
+        check()
+        cache.forget(("c",))  # no readers: leaves at once
+        check()
+        mm.drop_owner(a, OWNER)  # the owner crashes while r1 reads
+        check()
+        put(mm, cache, ("d",), size=512)
+        check()
+        cache.drain()  # "a" lingers for r1; "d" leaves
+        check()
+        cache.release(("a",), "r1")
+        check()
+        assert seen == [13288, 13288, 13288, 13288, 5096, 4096, 4096,
+                        4608, 4096, 0]
+
+    def test_entry_lost_to_a_device_fault_leaves_the_total(self, env):
+        cluster, mm, cache = env
+        put(mm, cache, ("k",), name="kv-victim")
+        cache.acquire(("k",), "job1")
+        cluster.faults.inject_now(FaultKind.MEMORY_CORRUPTION, "kv-victim")
+        cache.forget(("k",))
+        assert cache.pinned_bytes() == self.brute(cache) == 4096
+        cache.release(("k",), "job1")
+        assert cache.pinned_bytes() == self.brute(cache) == 0

@@ -325,6 +325,41 @@ def test_resolves_skipped_reaches_the_metrics_collector():
     assert snap["flow.rebalances"]["value"] == 1.0
 
 
+def test_superseded_completion_timers_are_counted():
+    """A re-arm leaves the old timer queued; it fires stale and counts.
+
+    `long` alone arms a timer for t=1000; `short` arriving at t=100
+    halves its rate and re-arms for t=300, and the re-solve after
+    `short` finishes re-arms for t=1100, so the t=1000 timer fires
+    superseded (the t=300 one is live)."""
+    engine, net = make_net()
+    link = Link("l0", bandwidth=1.0, latency=0.0)
+    long = net.transfer([link], nbytes=1000.0)
+
+    def later():
+        yield engine.timeout(100.0)
+        yield net.transfer([link], nbytes=100.0)
+
+    engine.process(later())
+    engine.run()
+    assert long.value == 1100.0
+    assert net.timers_superseded == 1
+
+
+def test_timers_superseded_reaches_the_metrics_collector():
+    from repro.hardware import Cluster
+
+    cluster = Cluster.preset("pooled-rack")
+    engine, net = cluster.engine, cluster.flownet
+    link = Link("l0", bandwidth=1.0, latency=0.0)
+    net.transfer([link], nbytes=1000.0)
+    engine.timeout(100.0).add_callback(
+        lambda _: net.transfer([link], nbytes=100.0))
+    engine.run()
+    snap = cluster.obs.registry.snapshot()
+    assert snap["flow.timers_superseded"]["value"] == 1.0
+
+
 def test_finish_leaving_no_live_flow_does_not_rebalance():
     """Only a finish whose links still carry a live flow re-solves."""
     engine, net = make_net()
