@@ -497,6 +497,52 @@ def bench_heft_small_jobs(n_jobs: int = 1000, seed: int = 4) -> dict:
     )
 
 
+def bench_compute_phases(n_jobs: int = 400, stages: int = 4,
+                         seed: int = 31) -> dict:
+    """Compute-only pipelines on the pooled rack: the task lifecycle.
+
+    ``n_jobs`` chains of ``stages`` tasks that only compute (edges are
+    pure dependencies, no payload), arriving one per slot over 2 ms
+    through the session.  Without a degradation policy each compute
+    phase is one engine event, so ``events_per_phase`` is what a task
+    costs the engine in all: its process, slot grant, phase and
+    completion.
+    """
+    from repro.api import connect
+
+    rng = random.Random(seed)
+    session = connect("pooled-rack", seed=seed, max_concurrent=8)
+
+    def factory(name: str, ops: typing.List[float]):
+        def build():
+            job = Job(name)
+            previous = None
+            for i, n in enumerate(ops):
+                task = job.add_task(Task(f"s{i}", work=WorkSpec(ops=n)))
+                if previous is not None:
+                    job.connect(previous, task)
+                previous = task
+            return job
+        return build
+
+    window = 2_000_000.0
+    arrivals = [
+        ((i + rng.random()) * window / n_jobs, f"c{i}",
+         factory(f"c{i}", [rng.uniform(5e4, 4e5) for _ in range(stages)]))
+        for i in range(n_jobs)
+    ]
+    engine = session.rts.cluster.engine
+    start = time.perf_counter()
+    stats = session.run_trace(arrivals)
+    wall = time.perf_counter() - start
+    assert stats.completed == n_jobs
+    phases = n_jobs * stages
+    return _result(
+        "compute_phases", wall, ops=phases, events=engine.events_processed,
+        events_per_phase=round(engine.events_processed / phases, 3),
+    )
+
+
 # -- 3. placement under fragmentation -------------------------------------
 
 
@@ -721,6 +767,7 @@ ALL_BENCHES: typing.Dict[str, typing.Callable[[], dict]] = {
     "flows_20k": bench_flows_20k,
     "heft_500": bench_heft_500,
     "heft_small_jobs": bench_heft_small_jobs,
+    "compute_phases": bench_compute_phases,
     "placement_fragmentation": bench_placement_fragmentation,
     "soak_transfers": bench_soak_transfers,
     "soak_1m_events": bench_soak_1m_events,

@@ -47,6 +47,8 @@ class ObservationStats:
 class CalibratedCostModel(CostModel):
     """A cost model that learns correction factors from profiles."""
 
+    _corrects = True
+
     def __init__(self, cluster, alpha: float = 0.3):
         super().__init__(cluster)
         if not 0.0 < alpha <= 1.0:

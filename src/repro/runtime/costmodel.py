@@ -16,10 +16,16 @@ constant per (observer, device, direction), cached next to the offers
 and dropped with them when the fabric's topology epoch moves.  There is
 no per-usage memo: the caches are bounded by the device inventory, not
 by the number of distinct sizes ever asked about.
+
+A scheduler prices one task on every candidate device at once
+(:meth:`CostModel.task_estimates`) and placement one usage on every
+(observer, device) pair (:meth:`CostModel.access_times`); each term is
+the same one step a single estimate takes.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro.dataflow.graph import Task
@@ -39,20 +45,46 @@ from repro.memory.properties import (
 OWNERSHIP_TRANSFER_NS = 100.0
 
 
-class _InputTouch(typing.NamedTuple):
-    """What :meth:`CostModel.access_time` reads of a usage, for an input
-    whose size is only known from the upstream tasks' outputs."""
+class _Rates(dict):
+    """Compute device name -> ops/ns of one op class (None when the
+    device cannot run it), filled in on first use."""
 
-    touched_bytes: int
-    pattern: AccessPattern
-    access_size: int
+    def __init__(self, compute: dict, op):
+        super().__init__()
+        self.compute = compute
+        self.op = op
+
+    def __missing__(self, name: str) -> typing.Optional[float]:
+        rate = self[name] = self.compute[name].spec.throughput.get(self.op)
+        return rate
+
+
+class _RoleLookup:
+    """``roles[compute_name]`` for :meth:`CostModel.task_time_estimate`:
+    the four role devices from its ``memory_for``, asked in role order."""
+
+    __slots__ = ("memory_for",)
+
+    def __init__(self, memory_for):
+        self.memory_for = memory_for
+
+    def __getitem__(self, _compute_name: str) -> tuple:
+        memory_for = self.memory_for
+        return (memory_for("input"), memory_for("scratch"),
+                memory_for("state"), memory_for("output"))
 
 
 class CostModel:
     """Answers 'what would it cost' questions for placement/scheduling."""
 
+    #: Whether batch estimate terms are scaled by :meth:`_factor` (a
+    #: model that learns corrections sets it; the analytic one does not).
+    _corrects = False
+
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
+        #: op class -> its :class:`_Rates` (bounded by the inventory).
+        self._rates: typing.Dict[typing.Any, _Rates] = {}
         self._offer_cache: dict = {}
         #: (observer, device name, is_write) -> (offered bytes/ns, the
         #: default mode the offered sync flag implies, AccessPath or None
@@ -134,14 +166,57 @@ class CostModel:
         if nbytes == 0:
             return 0.0
         self._check_epoch()
-        constants = self._path_cache.get((observer, device.name, is_write))
+        return self._access_step(observer, device, nbytes, usage.pattern,
+                                 usage.access_size, is_write, mode)
+
+    def access_times(
+        self,
+        pairs: typing.Sequence[typing.Tuple[str, MemoryDevice]],
+        usage: RegionUsage,
+        is_write: bool = False,
+    ) -> typing.List[float]:
+        """:meth:`access_time` of one usage for each (observer, device)
+        pair, in order: one step per pair, with the usage read once."""
+        nbytes = usage.touched_bytes
+        if nbytes == 0:
+            return [0.0] * len(pairs)
+        self._check_epoch()
+        step = self._access_step
+        pattern = usage.pattern
+        access_size = usage.access_size
+        terms = [
+            step(observer, device, nbytes, pattern, access_size, is_write,
+                 None)
+            for observer, device in pairs
+        ]
+        if self._corrects:
+            terms = [
+                self._corrected(term, ("memory", observer, device.spec.name,
+                                       pattern.value))
+                for term, (observer, device) in zip(terms, pairs)
+            ]
+        return terms
+
+    def _access_step(
+        self,
+        observer: str,
+        device: MemoryDevice,
+        nbytes: int,
+        pattern: AccessPattern,
+        access_size: int,
+        is_write: bool,
+        mode: typing.Optional[AccessMode],
+    ) -> float:
+        """The one step every access estimate takes: the cached
+        size-independent constants, then the data plane's plan for
+        ``nbytes`` (> 0) and its lower bound."""
+        constants = self._path_cache.get((observer, device.spec.name, is_write))
         if constants is None:
             constants = self._path_constants(observer, device, is_write)
         bytes_per_ns, default_mode, path = constants
         if path is None:
-            return float("inf")
-        plan = path.plan(nbytes, usage.pattern, mode or default_mode,
-                         usage.access_size)
+            return math.inf
+        plan = path.plan(nbytes, pattern, mode or default_mode, access_size)
         return plan.lower_bound_ns(bytes_per_ns)
 
     def _path_constants(
@@ -181,6 +256,14 @@ class CostModel:
 
     # -- task costs -----------------------------------------------------------
 
+    def _rates_for(self, op) -> "_Rates":
+        """ops/ns of ``op`` per compute device, so an estimate hashes
+        its op class once, not once per device."""
+        rates = self._rates.get(op)
+        if rates is None:
+            rates = self._rates[op] = _Rates(self.cluster.compute, op)
+        return rates
+
     def compute_time(self, task: Task, compute_name: str) -> float:
         """Pure compute time of ``task`` on a compute device (ns).
 
@@ -189,13 +272,99 @@ class CostModel:
         plane only learns about gray failures through the health
         monitor's evidence-based DEGRADED state.
         """
-        device = self.cluster.compute[compute_name]
         work = task.work
         if work.ops == 0:
             return 0.0
-        if not device.supports(work.op_class):
-            return float("inf")
-        return device.nominal_compute_time(work.op_class, work.ops)
+        rate = self._rates_for(work.op_class)[compute_name]
+        if rate is None:
+            return math.inf
+        return work.ops / rate
+
+    def _factor(self, key: tuple) -> float:
+        """Correction for the estimate term ``key`` names:
+        ``("compute", device, op class)`` or ``("memory", observer,
+        device, pattern value)``.  The analytic model applies none."""
+        return 1.0
+
+    def _corrected(self, term: float, key: tuple) -> float:
+        if term == 0.0 or term == math.inf:
+            return term
+        return term * self._factor(key)
+
+    def task_estimates(
+        self,
+        task: Task,
+        computes: typing.Sequence[str],
+        roles: typing.Mapping[str, tuple],
+        input_bytes: int = 0,
+    ) -> typing.List[float]:
+        """Estimated execution time of ``task`` on each compute device
+        in ``computes`` (ns), in order.
+
+        ``roles[name]`` is the (input, scratch, state, output) backing
+        device tuple — planned or hypothetical, None for an absent
+        role — and is looked up only for devices that can run the task.
+        Memory phases are modeled as sequential with compute, matching
+        the simulator's default task behaviour.  The work's usages and
+        the op class's throughput are read once per call; each term is
+        the same step, added in the same order, as a one-device
+        estimate.
+        """
+        self._check_epoch()
+        work = task.work
+        ops = work.ops
+        op = work.op_class
+        corrects = self._corrects
+        if ops == 0:
+            totals = [0.0] * len(computes)
+        else:
+            rates = self._rates_for(op)
+            totals = []
+            for name in computes:
+                rate = rates[name]
+                total = math.inf if rate is None else ops / rate
+                if corrects:
+                    total = self._corrected(total, ("compute", name, op))
+                totals.append(total)
+
+        # (role slot, bytes touched, pattern, access size, is_write) of
+        # every phase that moves bytes, in the order they are added.
+        phases = []
+        usage = work.input_usage
+        if usage is not None and input_bytes:
+            nbytes = int(input_bytes * usage.touches)
+            if nbytes:
+                phases.append((0, nbytes, usage.pattern, usage.access_size,
+                               False))
+        for slot, usage, is_write in ((1, work.scratch, False),
+                                      (2, work.state_usage, True),
+                                      (3, work.output, True)):
+            if usage is not None:
+                nbytes = usage.touched_bytes
+                if nbytes:
+                    phases.append((slot, nbytes, usage.pattern,
+                                   usage.access_size, is_write))
+        if not phases:
+            return totals
+        step = self._access_step
+        for i, name in enumerate(computes):
+            total = totals[i]
+            if total == math.inf:
+                continue
+            devices = roles[name]
+            for slot, nbytes, pattern, access_size, is_write in phases:
+                device = devices[slot]
+                if device is None:
+                    continue
+                term = step(name, device, nbytes, pattern, access_size,
+                            is_write, None)
+                if corrects:
+                    term = self._corrected(
+                        term, ("memory", name, device.spec.name,
+                               pattern.value))
+                total += term
+            totals[i] = total
+        return totals
 
     def task_time_estimate(
         self,
@@ -208,39 +377,12 @@ class CostModel:
 
         ``memory_for(role)`` maps the roles 'input'/'scratch'/'output'/
         'state' to the (planned or hypothetical) backing device, or None
-        when that role is absent.  Memory phases are modeled as
-        sequential with compute, matching the simulator's default task
-        behaviour.
+        when that role is absent.  One device's
+        :meth:`task_estimates`.
         """
-        work = task.work
-        total = self.compute_time(task, compute_name)
-        if total == float("inf"):
-            return total
-
-        input_device = memory_for("input")
-        if work.input_usage is not None and input_device is not None and input_bytes:
-            usage = work.input_usage
-            total += self.access_time(compute_name, input_device, _InputTouch(
-                int(input_bytes * usage.touches), usage.pattern,
-                usage.access_size,
-            ))
-
-        scratch_device = memory_for("scratch")
-        if work.scratch is not None and scratch_device is not None:
-            total += self.access_time(compute_name, scratch_device, work.scratch)
-
-        state_device = memory_for("state")
-        if work.state_usage is not None and state_device is not None:
-            total += self.access_time(
-                compute_name, state_device, work.state_usage, is_write=True
-            )
-
-        output_device = memory_for("output")
-        if work.output is not None and output_device is not None:
-            total += self.access_time(
-                compute_name, output_device, work.output, is_write=True
-            )
-        return total
+        return self.task_estimates(
+            task, (compute_name,), _RoleLookup(memory_for), input_bytes
+        )[0]
 
     def best_scratch_device(self, observer: str) -> typing.Optional[MemoryDevice]:
         """The lowest-RTT live device an observer can sync-address.

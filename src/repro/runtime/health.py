@@ -475,6 +475,13 @@ class HealthMonitor:
             else:
                 self._flagged_at.pop(name, None)
 
+    def settled_epoch(self) -> int:
+        """:attr:`epoch` once every target whose probation expired is
+        re-admitted.  Probation is time-driven and runs lazily on reads,
+        so a cache keyed on the epoch must settle it before comparing."""
+        self._probation_sweep()
+        return self.epoch
+
     def is_blacklisted(self, device_name: str) -> bool:
         """Whether repeated failures have excluded this device for good."""
         return device_name in self._blacklist

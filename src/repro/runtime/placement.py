@@ -214,19 +214,28 @@ class DeclarativePlacement(PlacementPolicy):
             if self._has_room(memory[name], request.size)
         ]
 
-    def score(self, request: PlacementRequest, device: MemoryDevice) -> float:
-        """Lower is better: expected access cost + a capacity-pressure
-        term that keeps scarce fast tiers free for demanding requests."""
+    def scores(
+        self, request: PlacementRequest, devices: typing.List[MemoryDevice]
+    ) -> typing.List[float]:
+        """Each device's score, lower is better: expected access cost +
+        a capacity-pressure term that keeps scarce fast tiers free for
+        demanding requests.  One estimate step per (observer, device)."""
         usage = request.usage or RegionUsage(
             size=request.size, touches=1.0, pattern=AccessPattern.SEQUENTIAL
         )
-        cost = max(
-            self.costmodel.access_time(observer, device, usage)
-            for observer in request.observers
+        observers = request.observers
+        costs = self.costmodel.access_times(
+            [(observer, device) for device in devices
+             for observer in observers], usage
         )
-        pressure = device.utilization  # 0..1
-        media_price = device.spec.cost_per_gib
-        return cost * (1.0 + 0.25 * pressure) + 1e-3 * media_price
+        width = len(observers)
+        scores = []
+        for i, device in enumerate(devices):
+            cost = max(costs[i * width:(i + 1) * width])
+            pressure = device.utilization  # 0..1
+            media_price = device.spec.cost_per_gib
+            scores.append(cost * (1.0 + 0.25 * pressure) + 1e-3 * media_price)
+        return scores
 
     def choose_device(self, request: PlacementRequest) -> MemoryDevice:
         """The lowest-scoring satisfying candidate (raises if none).
@@ -244,7 +253,8 @@ class DeclarativePlacement(PlacementPolicy):
             )
         survivors = self._prefer_unavoided(survivors, request)
         survivors = self._prefer_non_degraded(survivors)
-        return min(survivors, key=lambda d: self.score(request, d))
+        scores = self.scores(request, survivors)
+        return survivors[min(range(len(survivors)), key=scores.__getitem__)]
 
 
 class EncryptingPlacement(DeclarativePlacement):
@@ -278,23 +288,25 @@ class EncryptingPlacement(DeclarativePlacement):
         ]
         return survivors + extra
 
-    def score(self, request: PlacementRequest, device) -> float:
-        """Base score plus the crypto surcharge on non-isolated devices."""
+    def scores(self, request: PlacementRequest, devices) -> typing.List[float]:
+        """Base scores plus the crypto surcharge on non-isolated devices."""
         from repro.memory.interfaces import encryption_time
 
-        base = super().score(request, device)
+        scores = super().scores(request, devices)
         if not request.properties.confidential:
-            return base
-        offers = [self.costmodel.offered(o, device) for o in request.observers]
-        if all(offer.isolated for offer in offers):
-            return base
+            return scores
         usage = request.usage
         touched = usage.touched_bytes if usage is not None else request.size
-        crypto = max(
-            encryption_time(self.cluster, observer, touched)
-            for observer in request.observers
-        )
-        return base + crypto
+        for i, device in enumerate(devices):
+            offers = [self.costmodel.offered(o, device)
+                      for o in request.observers]
+            if all(offer.isolated for offer in offers):
+                continue
+            scores[i] += max(
+                encryption_time(self.cluster, observer, touched)
+                for observer in request.observers
+            )
+        return scores
 
     def place(self, request: PlacementRequest) -> MemoryRegion:
         """Place the request, marking non-isolated confidential data encrypted."""

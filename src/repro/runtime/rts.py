@@ -24,6 +24,7 @@ import typing
 from repro.dataflow.graph import Job, Task
 from repro.dataflow.workspec import RegionUsage
 from repro.hardware.cluster import Cluster
+from repro.hardware.compute import ComputePhase
 from repro.hardware.spec import OpClass
 from repro.memory.interfaces import AccessMode, AccessPattern, Accessor
 from repro.memory.manager import MemoryManager
@@ -609,6 +610,11 @@ class TaskContext:
         attempt aborts with :class:`~repro.runtime.health.DeviceDegraded`
         rather than riding the slow device to the end — the retry
         re-places it onto a healthy peer, budget permitting.
+
+        Without a :class:`~repro.runtime.health.DegradationPolicy`
+        nothing reads the per-slice evidence, so the slices run as one
+        :class:`~repro.hardware.compute.ComputePhase` event that ends
+        where the last slice's timeout would.
         """
         if op_class is None:
             op_class = self.task.work.op_class
@@ -618,6 +624,37 @@ class TaskContext:
         began = self.now
         monitor = self._rts.health
         slices = self.COMPUTE_SLICES if ops > 0 else 1
+        if slices > 1 and getattr(monitor, "degradation", None) is None:
+            phase = ComputePhase(device, op_class, ops, slices)
+            try:
+                yield phase
+            except BaseException:
+                # Preempted or killed: only the slices that ended count.
+                for _ in range(phase.stop()):
+                    self.attempt_nominal_ns += phase.nominal
+                raise
+            for _ in range(slices):
+                self.attempt_nominal_ns += phase.nominal
+            duration = phase.duration
+        else:
+            duration = yield from self._sliced_phase(
+                device, op_class, ops, slices, monitor, sp)
+        if sp:
+            sp.set(task=self.owner, device=self.compute,
+                   op=op_class.value, ops=ops, duration=duration)
+        sp.close()
+        if self._execution.causal is not None:
+            self._execution._causal_chain(
+                self.task.name, "compute_phase", "compute",
+                began, self.now,
+                task=self.owner, device=self.compute,
+                op=op_class.value, ops=ops,
+            )
+        return duration
+
+    def _sliced_phase(self, device, op_class, ops, slices, monitor, sp):
+        """Generator: the phase as ``slices`` timeouts, feeding the
+        fail-slow detector and offering an abort after each slice."""
         duration = 0.0
         for i in range(slices):
             slice_ops = ops / slices
@@ -643,17 +680,6 @@ class TaskContext:
                            aborted=True)
                 sp.close()
                 raise DeviceDegraded(self.compute)
-        if sp:
-            sp.set(task=self.owner, device=self.compute,
-                   op=op_class.value, ops=ops, duration=duration)
-        sp.close()
-        if self._execution.causal is not None:
-            self._execution._causal_chain(
-                self.task.name, "compute_phase", "compute",
-                began, self.now,
-                task=self.owner, device=self.compute,
-                op=op_class.value, ops=ops,
-            )
         return duration
 
     def sleep(self, ns: float):
@@ -1320,9 +1346,9 @@ class _JobExecution:
 
         def estimate(d):
             try:
-                return HeftScheduler._exec_estimate(
-                    task, d.name, rts.costmodel,
-                    rts.costmodel.best_scratch_device(d.name), input_bytes,
+                scratch = rts.costmodel.best_scratch_device(d.name)
+                return rts.costmodel.task_time_estimate(
+                    task, d.name, lambda role: scratch, input_bytes,
                 )
             except Exception:  # noqa: BLE001 - unreachable memory etc.
                 return float("inf")

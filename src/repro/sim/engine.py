@@ -43,6 +43,10 @@ class Engine:
         #: Lifetime count of processed events (observability; plain int
         #: so the hot loop pays one increment, nothing more).
         self.events_processed = 0
+        #: Priority and sequence number of the event being processed:
+        #: its place among the events queued for the same instant.
+        self.priority_now = NORMAL
+        self.seq_now = -1
 
     @property
     def now(self) -> float:
@@ -80,6 +84,14 @@ class Engine:
             raise ValueError(f"cannot reserve in the past (delay={delay})")
         return (self._now + delay, NORMAL, next(self._seq))
 
+    def slot_at(self, time: float) -> tuple:
+        """A queue slot ``(time, NORMAL, sequence)`` for the absolute
+        instant ``time``, sequenced as if the event were created now
+        (where ``reserve`` would land on ``now + delay``, rounded)."""
+        if time < self._now:
+            raise ValueError(f"slot at {time} lies in the past (now={self._now})")
+        return (time, NORMAL, next(self._seq))
+
     def schedule_at(self, event: Event, slot: tuple) -> None:
         """Queue ``event`` in a slot taken earlier with :meth:`reserve`."""
         if slot[0] < self._now:
@@ -95,7 +107,8 @@ class Engine:
         """Process the next event, advancing the clock."""
         if not self._queue:
             raise EmptySchedule()
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self._now, self.priority_now, self.seq_now, event = heapq.heappop(
+            self._queue)
         self.events_processed += 1
         event._process()
 
@@ -123,7 +136,7 @@ class Engine:
             if queue[0][0] > stop_time:
                 self._now = stop_time
                 break
-            self._now, _, _, event = pop(queue)
+            self._now, self.priority_now, self.seq_now, event = pop(queue)
             self.events_processed += 1
             event._process()
 

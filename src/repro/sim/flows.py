@@ -227,6 +227,9 @@ class _FloorJoin(Event):
     _slot: typing.Optional[tuple] = None
     #: Whether the event already took the join's hop.
     _hopped = False
+    #: Whether :meth:`FlowNetwork.cancel` failed it: the canceller
+    #: handled the failure, so it stays defused.
+    _cancelled = False
 
     def succeed(self, value: object = None, delay: float = 0.0) -> Event:
         slot = self._slot
@@ -244,7 +247,7 @@ class _FloorJoin(Event):
             self._hopped = True
             engine.schedule(self)
             return
-        if not self._ok:
+        if not self._ok and not self._cancelled:
             self._defused = False  # the join's failure, not yet handled
         super()._process()
 
@@ -723,6 +726,8 @@ class FlowNetwork:
             event._progress = 0.0  # still in the latency phase: no bytes moved
         event.fail(cause or TransferTimeout(float("nan"), float("nan")))
         event.defuse()
+        if isinstance(event, _FloorJoin):
+            event._cancelled = True
         return True
 
     @property

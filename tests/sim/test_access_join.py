@@ -257,3 +257,56 @@ def test_scripts_exercise_every_branch(monkeypatch):
     assert census.direct > 500 and census.hop > 500
     assert census.failed > 100
     assert outcomes > 200 and raised > 0
+
+
+# -- cancelling a floored transfer ------------------------------------------
+
+
+def _floored(engine_run_until: float, floor: float = 1000.0):
+    """A 100-byte floored transfer over a 1 B/ns link with 10 ns of
+    latency (the stream ends at 110 ns), cancelled at
+    ``engine_run_until``; returns the network, the done event and what
+    ``cancel`` said."""
+    from repro.sim import Engine, Link
+
+    engine = Engine()
+    net = FlowNetwork(engine)
+    done = net.transfer([Link("l", bandwidth=1.0, latency=10.0)], 100,
+                        latency_floor=floor)
+    engine.run(until=engine_run_until)
+    return engine, net, done, net.cancel(done)
+
+
+@pytest.mark.parametrize("when", [5.0, 60.0], ids=["latency", "mid-stream"])
+@pytest.mark.parametrize("waiter", [False, True], ids=["alone", "waited"])
+def test_cancelled_join_stays_defused(when, waiter):
+    """A cancel fails and defuses the join; the engine raises nothing,
+    with or without a waiter, and a waiter still sees the failure."""
+    from repro.sim.flows import TransferTimeout
+
+    engine, _net, done, cancelled = _floored(when)
+    assert cancelled
+    seen = []
+
+    def wait():
+        try:
+            yield done
+        except TransferTimeout as exc:
+            seen.append(exc)
+
+    if waiter:
+        engine.process(wait())
+    engine.run()
+    assert done.processed and not done.ok
+    assert len(seen) == (1 if waiter else 0)
+
+
+def test_cancel_after_the_last_byte_is_a_no_op():
+    """The last byte landed before the floor, so the join already sits
+    in the floor's reserved slot: ``cancel`` declines, and the join
+    succeeds there."""
+    engine, _net, done, cancelled = _floored(500.0)
+    assert not cancelled
+    assert done.triggered and done._slot is not None
+    engine.run()
+    assert done.ok and engine.now == 1000.0
