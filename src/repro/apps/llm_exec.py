@@ -104,6 +104,7 @@ class ServeResult:
     """A serving run: per-request records plus cache/leak accounting."""
 
     records: typing.List[RequestRecord]
+    #: Start of :meth:`LLMEngine.serve` -> the last request's settle.
     horizon_ns: float
     prefix_hit_blocks: int
     prefix_miss_blocks: int
@@ -378,6 +379,7 @@ class LLMEngine:
         ordered = sorted(requests, key=lambda r: (r.arrival_ns, r.index))
         records: typing.List[RequestRecord] = []
         state = {"settled": 0, "dispatched": 0}
+        all_settled = engine.event()
         telem = self._telemetry()
         if telem is not None:
             telem.watch("llm.prefix_pinned_bytes",
@@ -402,6 +404,8 @@ class LLMEngine:
         def finish(record, acquired, admitted):
             self._settle(record, acquired, admitted)
             state["settled"] += 1
+            if state["settled"] == len(ordered):
+                all_settled.succeed()
             feed()
 
         pending = collections.deque(ordered)
@@ -433,10 +437,10 @@ class LLMEngine:
             sampler = engine.process(
                 telem.pump(engine, interval), name="llm-sampler"
             )
-        # Step the clock until every request has settled; the sampler
-        # alone must not keep the run alive (mirrors RackDriver).
-        while state["settled"] < len(ordered):
-            engine.run(until=engine.now + interval)
+        # Run until the last request settles; the sampler alone must
+        # not keep the run alive (mirrors RackDriver).
+        engine.run(until=all_settled)
+        horizon_ns = engine.now - start_ns
         if sampler is not None:
             sampler.kill()
         engine.run()
@@ -444,7 +448,7 @@ class LLMEngine:
             telem.poll(engine.now)
         return ServeResult(
             records=records,
-            horizon_ns=engine.now - start_ns,
+            horizon_ns=horizon_ns,
             prefix_hit_blocks=self.cache.hits - start_hits,
             prefix_miss_blocks=sum(
                 len(r.request.blocks) - r.hit_blocks for r in records

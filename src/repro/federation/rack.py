@@ -144,10 +144,6 @@ class Rack:
         recently-slammed rack does not immediately re-attract traffic."""
         return self.sample(now) + self.window.mean(now)
 
-    def idle(self) -> bool:
-        """No queued or running jobs on this rack."""
-        return self.queued == 0 and self.running == 0
-
     def __repr__(self) -> str:
         return (
             f"<Rack {self.name} queued={self.queued} running={self.running} "

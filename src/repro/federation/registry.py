@@ -186,7 +186,7 @@ class RackRegistry:
 
         The process runs forever; callers driving the simulation to
         quiescence must :meth:`stop_heartbeat` once drained (the
-        federated session's drive loop does this automatically).
+        federated session's drive does, once every job has settled).
         """
         if self._heartbeat_proc is not None and self._heartbeat_proc.is_alive:
             return self._heartbeat_proc

@@ -59,6 +59,9 @@ class RoutedJob:
     #: The rack-level admission handle.  Filled at route time for local
     #: jobs, after the simulated fetch for cross-rack ones.
     admitted: typing.Any = dataclasses.field(default=None, repr=False)
+    #: Engine event that fires on a front-door shed, or when the job
+    #: settles on its rack (after any cross-rack fetch).
+    settled: typing.Any = dataclasses.field(default=None, repr=False)
 
     @property
     def accounted(self) -> bool:
@@ -254,7 +257,6 @@ class Router:
         self._residency: typing.Dict[str, typing.Set[str]] = {}
         #: dataset key -> replica size in bytes
         self._dataset_bytes: typing.Dict[str, float] = {}
-        self._fetches_in_flight = 0
         bind = getattr(self.policy, "bind_router", None)
         if bind is not None:
             bind(self)
@@ -279,10 +281,6 @@ class Router:
         if key is None:
             return set()
         return set(self._residency.get(key, ()))
-
-    @property
-    def fetches_in_flight(self) -> int:
-        return self._fetches_in_flight
 
     # -- routing -----------------------------------------------------------
 
@@ -350,10 +348,12 @@ class Router:
             routed.admitted = rack.driver.submit_job(
                 name, source, tenant=tenant, priority=priority, cost=cost,
             )
+            routed.settled = routed.admitted.settled
         return routed
 
     def _shed(self, routed: RoutedJob, reason: str) -> RoutedJob:
         routed.shed = True
+        routed.settled = self.engine.timeout(0)
         self.stats.sheds += 1
         self.obs.counter("fed.sheds").inc()
         self.obs.event("federation", "shed", job=routed.name, reason=reason)
@@ -373,7 +373,6 @@ class Router:
         self, routed: RoutedJob, rack: Rack, source, tenant, priority,
         cost: float, session: str, nbytes: float,
     ) -> None:
-        self._fetches_in_flight += 1
         self.stats.cross_rack_fetches += 1
         self.stats.cross_rack_bytes += nbytes
         self.obs.counter("fed.cross_rack_fetches").inc()
@@ -396,9 +395,10 @@ class Router:
                 routed.name, source, tenant=tenant, priority=priority,
                 cost=cost,
             )
-            self._fetches_in_flight -= 1
+            yield routed.admitted.settled
 
-        self.engine.process(fetch(), name=f"federation:fetch:{routed.name}")
+        routed.settled = self.engine.process(
+            fetch(), name=f"federation:fetch:{routed.name}")
 
 
 __all__ = [

@@ -43,6 +43,7 @@ from repro.runtime.health import HealthMonitor, HealthState
 from repro.runtime.rts import JobStats, RuntimeSystem
 from repro.runtime.tenancy import PriorityClass, TenantQuota
 from repro.sim.engine import Engine
+from repro.sim.events import Event
 from repro.sim.trace import TraceLog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,9 +133,10 @@ class FederatedSession:
         #: Tenant registrations to replay onto racks that join later.
         self._tenant_specs: typing.Dict[str, dict] = {}
         #: Every rack ever built — deregistered racks keep simulating
-        #: (their reboots, repairs) and still count for quiescence.
+        #: (their reboots, repairs) and still report.
         self._all_racks: typing.List[Rack] = []
-        self._active_drains = 0
+        #: ``done`` events of every drain begun.
+        self._drains: typing.List[Event] = []
         self._next_seed = 0
         #: True once :meth:`close` has finalized the run.
         self.closed = False
@@ -186,42 +188,40 @@ class FederatedSession:
         """
         rack = self.registry.get(name)
         self.registry.begin_drain(name)
-        self._active_drains += 1
         done = self.engine.event()
-        poll = self.registry.heartbeat_ns
+        self._drains.append(done)
         devices = list(rack.cluster.memory) + list(rack.cluster.compute)
+        rebooted = self.engine.event()
+
+        def on_change():
+            if not rebooted.triggered and not any(
+                rack.monitor.state(d) is HealthState.DRAINING
+                for d in devices
+            ):
+                rebooted.succeed()
 
         def drain():
             # Phase 1: let routed work land and finish.  Covers jobs in
             # the rack's admission queues, running jobs, and fetches in
-            # flight toward this rack (they submit on arrival).
-            while not rack.idle() or self._pending_for(name):
-                yield self.engine.timeout(poll)
+            # flight toward this rack (routing here has stopped).
+            yield self.engine.all_of([
+                job.settled for job in self.router.jobs if job.rack == name
+            ])
             # Phase 2: gracefully power-cycle each node through the
             # health monitor (reboots fire once nodes are idle).
             for node in sorted(rack.cluster.nodes):
                 rack.monitor.begin_drain(node)
-            while any(
-                rack.monitor.state(d) is HealthState.DRAINING
-                for d in devices
-            ):
-                yield self.engine.timeout(poll)
+            rack.monitor.on_change(on_change)
+            on_change()  # begin_drain skips nodes with a failed member
+            yield rebooted
             # Phase 3: forget the rack.
             self.registry.deregister(name)
             self.registry.stats.drains_completed += 1
-            self._active_drains -= 1
             self.obs.event("federation", "drain_complete", rack=name)
             done.succeed(name)
 
         self.engine.process(drain(), name=f"federation:drain:{name}")
         return done
-
-    def _pending_for(self, rack_name: str) -> bool:
-        """Any routed job bound for this rack not yet landed there?"""
-        return any(
-            job.rack == rack_name and not job.accounted
-            for job in self.router.jobs
-        )
 
     # -- tenancy -----------------------------------------------------------
 
@@ -368,8 +368,9 @@ class FederatedSession:
                     session=session,
                 ))
 
-        self.engine.process(arrival_process(), name="federation:arrivals")
-        self._drive(expect_jobs=len(ordered))
+        self._drive(self.engine.process(
+            arrival_process(), name="federation:arrivals"
+        ))
         return handles
 
     def result(self, handle: RoutedJob) -> typing.Optional[JobStats]:
@@ -404,29 +405,27 @@ class FederatedSession:
 
     # -- the drive loop ----------------------------------------------------
 
-    def _drained(self, expect_jobs: typing.Optional[int] = None) -> bool:
-        if self._active_drains:
-            return False
-        if self.router.fetches_in_flight:
-            return False
-        if expect_jobs is not None and len(self.router.jobs) < expect_jobs:
-            return False
-        if not all(job.accounted for job in self.router.jobs):
-            return False
-        return all(rack.idle() for rack in self._all_racks)
-
-    def _drive(self, expect_jobs: typing.Optional[int] = None) -> None:
+    def _drive(self, arrivals: typing.Optional[Event] = None) -> None:
         """Advance the shared clock until the federation is quiescent.
 
         The registry heartbeat runs forever, so ``engine.run()`` alone
-        would never return; instead we run in heartbeat-sized windows
-        until every routed job is accounted for and every rack is idle,
-        then kill the heartbeat and drain the remaining schedule
-        (node reboots, repairs)."""
+        would never return.  Instead one ``engine.run`` lasts until
+        ``arrivals`` (if given) has ended, every routed job has settled
+        and every drain is done; then the heartbeat is killed and the
+        remaining schedule (node reboots, repairs) drains."""
+        def quiesce():
+            if arrivals is not None:
+                yield arrivals
+            pending = True
+            while pending:  # jobs routed or drains begun meanwhile
+                pending = [job.settled for job in self.router.jobs
+                           if not job.settled.processed]
+                pending += [done for done in self._drains if not done.processed]
+                yield self.engine.all_of(pending)
+
         self.registry.start_heartbeat()
-        step = self.registry.heartbeat_ns
-        while not self._drained(expect_jobs):
-            self.engine.run(until=self.engine.now + step)
+        self.engine.run(
+            until=self.engine.process(quiesce(), name="federation:drive"))
         self.registry.stop_heartbeat()
         self.engine.run()
 

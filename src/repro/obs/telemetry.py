@@ -1269,7 +1269,7 @@ class TelemetryHub:
         """Generator: poll forever at ``interval_ns`` (a sim process).
 
         ``proc = engine.process(hub.pump(engine))``; kill the process
-        (or let ``engine.run(until=...)`` abandon it) when done.
+        when done (its pending tick leaves the queue with it).
         """
         interval = interval_ns if interval_ns is not None else self.window_ns
         if interval <= 0:

@@ -624,17 +624,19 @@ class RackDriver:
         ordered = sorted(arrivals, key=lambda a: a[0])
 
         def arrival_process():
+            settled = []
             for arrival in ordered:
                 time, name, factory = arrival[0], arrival[1], arrival[2]
                 tenant = arrival[3] if len(arrival) > 3 else None
                 priority = arrival[4] if len(arrival) > 4 else None
                 if time > engine.now:
                     yield engine.timeout(time - engine.now)
-                self.submit_job(
+                settled.append(self.submit_job(
                     name, factory, tenant=tenant, priority=priority
-                )
+                ).settled)
+            yield engine.all_of(settled)
 
-        engine.process(arrival_process(), name="rack-arrivals")
+        arrivals_proc = engine.process(arrival_process(), name="rack-arrivals")
         # The sampler is the rack's telemetry cadence: every tick folds
         # every watcher (memory utilization among them) and sweeps the
         # burn-rate rules.
@@ -642,16 +644,9 @@ class RackDriver:
             self._obs.telemetry.pump(engine, self.sample_interval_ns),
             name="rack-sampler",
         )
-        # Run until only the sampler keeps the queue alive.
-        while True:
-            engine.run(until=engine.now + self.sample_interval_ns)
-            drained = (
-                not self._queued_count()
-                and self._running == 0
-                and len(self.stats.jobs) == len(ordered)
-            )
-            if drained:
-                break
+        # The arrivals end when the last job settles; the sampler alone
+        # must not keep the run alive.
+        engine.run(until=arrivals_proc)
         sampler_proc.kill()
         engine.run()
         # End-of-trace: one final fold so the last partial window and

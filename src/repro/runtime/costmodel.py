@@ -99,8 +99,8 @@ class CostModel:
         """Self-invalidate when the fabric changed under us.
 
         Link failures *and* restores bump ``FlowNetwork.topology_epoch``,
-        so cached NoRouteError offers can't outlive the outage that
-        produced them even if no explicit ``invalidate()`` caller fires.
+        and a node crash or reboot fails or bounces its links, so neither
+        cached NoRouteError offers nor device ``failed`` flags outlive it.
         """
         flownet = getattr(self.cluster, "flownet", None)
         epoch = flownet.topology_epoch if flownet is not None else 0

@@ -499,8 +499,8 @@ class HealthMonitor:
         return [n for n in self._state if self.can_use(n)]
 
     def on_change(self, callback: typing.Callable[[], None]) -> None:
-        """Run ``callback`` after every health transition (e.g. cost
-        model invalidation)."""
+        """Run ``callback`` after every health transition (e.g. a
+        federation drain waiting for its nodes to leave DRAINING)."""
         self._callbacks.append(callback)
 
     # -- task watching ------------------------------------------------------

@@ -1678,10 +1678,6 @@ class RuntimeSystem:
         # (``rts.backups = OutputBackupStore(...)`` is a common idiom).
         self.backups = backups
         self.executions: typing.List[_JobExecution] = []
-        if self.health is not None:
-            # Health transitions change which offers exist; the cached
-            # cost model must not keep quoting dead devices.
-            self.health.on_change(self.costmodel.invalidate)
         cluster.obs.registry.add_collector(self._collect_runtime_metrics)
         # Continuous-telemetry watchers: per-window job throughput and
         # the in-flight level, derived from counters the hot paths

@@ -98,6 +98,12 @@ class Engine:
             raise ValueError(f"slot {slot[:2]} lies in the past (now={self._now})")
         heapq.heappush(self._queue, (*slot, event))
 
+    def unschedule(self, event: Event) -> None:
+        """Drop ``event`` from the queue in O(queue depth): for the rare
+        event nobody waits on any more, such as a killed process's timeout."""
+        self._queue[:] = [e for e in self._queue if e[3] is not event]
+        heapq.heapify(self._queue)
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         queue = self._queue

@@ -172,7 +172,8 @@ class Process(Event):
         self.engine.schedule(trigger, priority=-1)
 
     def kill(self) -> None:
-        """Terminate the process, raising :class:`ProcessKilled` inside it."""
+        """Terminate the process, raising :class:`ProcessKilled` inside
+        it; a timeout only it waits on leaves the queue with it."""
         if not self.is_alive:
             return
         trigger = Event(self.engine)
@@ -186,8 +187,9 @@ class Process(Event):
         if not self.is_alive:
             return
         # Detach from the event we were waiting on (interrupt path).
-        if self._target is not None and self._target is not trigger:
-            self._target.remove_callback(self._resume)
+        target = self._target
+        if target is not None and target is not trigger:
+            target.remove_callback(self._resume)
         self._target = None
 
         self.engine._active_process = self
@@ -211,6 +213,8 @@ class Process(Event):
                             exc, ProcessKilled
                         ):
                             self._finish(True, None)
+                            if isinstance(target, Timeout) and not target.callbacks:
+                                self.engine.unschedule(target)
                             return
                         self._finish(False, exc)
                         return

@@ -1,9 +1,9 @@
 """Tests for the federated session (repro.federation.session).
 
 ``connect(racks=N)`` must behave like N copies of the single-rack
-session behind one front door: tenants span racks, the drive loop
-terminates, and racks join/drain elastically without job-level
-failures.
+session behind one front door: tenants span racks, the drive ends
+once every routed job has settled and every drain is done, and racks
+join/drain elastically without job-level failures.
 """
 
 import pytest

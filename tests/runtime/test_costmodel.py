@@ -144,6 +144,29 @@ class TestTaskEstimates:
         best = cm.best_scratch_device("cpu1")
         assert best.name in ("dram-local1", "dram-local2")
 
+    def test_node_crash_retires_offers_through_the_epoch_alone(self):
+        """A crash fails the node's links with its devices, so the
+        topology epoch drops the cached offers: the health monitor
+        needs no cost-model hook."""
+        from repro.runtime import HealthMonitor, RuntimeSystem
+        from repro.sim.faults import FaultKind
+
+        cluster = Cluster.preset("pooled-rack")
+        monitor = HealthMonitor(cluster)
+        cm = RuntimeSystem(cluster).costmodel
+        assert all(getattr(callback, "__self__", None) is not cm
+                   for callback in monitor._callbacks)
+        shelf = cluster.memory["dram-pool0"]
+        assert cm.best_scratch_device("fpga1") is shelf
+        assert cm.offered("fpga1", shelf).sync
+        cluster.faults.inject_now(FaultKind.NODE_CRASH, "mem-shelf")
+        best = cm.best_scratch_device("fpga1")
+        assert best is not None
+        assert best.name not in cluster.nodes["mem-shelf"]
+        offer = cm.offered("fpga1", shelf)
+        assert not offer.sync
+        assert offer.rtt_ns == float("inf")
+
 
 MiB = 1024 * 1024
 

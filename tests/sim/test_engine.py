@@ -152,6 +152,42 @@ def test_kill_terminates_process_quietly():
     assert proc.ok
 
 
+def test_kill_withdraws_the_private_timeout():
+    engine = Engine()
+
+    def sampler():
+        while True:
+            yield engine.timeout(100.0)
+
+    proc = engine.process(sampler())
+    engine.run(until=30.0)
+    depth = engine.queue_depth
+    proc.kill()
+    # Processing the kill removes the parked timeout with the process.
+    engine.run()
+    assert engine.queue_depth == depth - 1 == 0
+    assert engine.now == 30.0
+    assert not proc.is_alive
+
+
+def test_kill_keeps_a_timeout_another_process_waits_on():
+    engine = Engine()
+    shared = engine.timeout(100.0)
+    woke = []
+
+    def waiter(tag):
+        yield shared
+        woke.append((tag, engine.now))
+
+    victim = engine.process(waiter("victim"))
+    engine.process(waiter("other"))
+    engine.run(until=30.0)
+    victim.kill()
+    engine.run()
+    assert woke == [("other", 100.0)]
+    assert engine.now == 100.0
+
+
 def test_all_of_waits_for_all():
     engine = Engine()
 
